@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__, linops, quantifiers, sdpcore, supbound, witnesses
 from .linops import HermOp, Partition
-from .qstate import Ket, Register, density
+from .qstate import Ket, Register, basis_index, complex_pairs, density
 from .quantifiers import QuantifierConfig
 from .supbound import BoundViolationError, SaturationFailureError
 from .witnesses import DEFAULT_SEED
@@ -57,6 +57,7 @@ def parse_state_document(doc: dict, where: str = "<state>") -> Ket:
         raise StateFileError(f"{where}: amplitudes must be a nonempty list")
     amp = np.zeros(register.size, dtype=np.complex128)
     if isinstance(entries[0], dict):
+        seen: dict[int, int] = {}
         for pos, entry in enumerate(entries):
             try:
                 basis = str(entry["basis"])
@@ -65,20 +66,18 @@ def parse_state_document(doc: dict, where: str = "<state>") -> Ket:
                 raise StateFileError(
                     f"{where}: amplitudes[{pos}]: need basis and amp [re, im]"
                 ) from err
-            if len(basis) != register.nsub:
+            try:
+                flat = basis_index(register, [int(digit) for digit in basis])
+            except ValueError as err:
                 raise StateFileError(
-                    f"{where}: amplitudes[{pos}]: basis {basis!r} needs "
-                    f"{register.nsub} digits"
+                    f"{where}: amplitudes[{pos}]: basis {basis!r}: {err}"
+                ) from err
+            if flat in seen:
+                raise StateFileError(
+                    f"{where}: amplitudes[{pos}]: basis {basis!r} repeats "
+                    f"amplitudes[{seen[flat]}]"
                 )
-            flat = 0
-            for digit, dim in zip(basis, register.dims):
-                label = int(digit)
-                if label >= dim:
-                    raise StateFileError(
-                        f"{where}: amplitudes[{pos}]: digit {label} exceeds "
-                        f"dimension {dim}"
-                    )
-                flat = flat * dim + label
+            seen[flat] = pos
             amp[flat] = complex(float(re), float(im))
     else:
         if len(entries) != register.size:
@@ -102,7 +101,7 @@ def parse_state_document(doc: dict, where: str = "<state>") -> Ket:
 def ket_to_state_document(ket: Ket) -> dict:
     return {
         "dims": list(ket.register.dims),
-        "amplitudes": [[z.real, z.imag] for z in ket.amplitudes],
+        "amplitudes": complex_pairs(ket.amplitudes),
     }
 
 
@@ -138,20 +137,19 @@ def cmd_quantify(args) -> tuple[dict, int]:
     exit_code = EXIT_OK
 
     if args.quantifier in ("negativity", "all"):
+        profile = quantifiers.pt_profile(rho, parts, config.psd_tol)
         results["negativity"] = [
-            {"partition": sorted(p.transposed), "value": quantifiers.negativity(rho, p)}
-            for p in parts
+            {"partition": sorted(p.transposed), "value": value}
+            for p, (value, _) in zip(parts, profile)
         ]
         results["ppt"] = [
-            {"partition": sorted(p.transposed), "ppt": bool(flag)}
-            for p, flag in zip(
-                parts, quantifiers.ppt_check(rho, parts, config.psd_tol)
-            )
+            {"partition": sorted(p.transposed), "ppt": flag}
+            for p, (_, flag) in zip(parts, profile)
         ]
 
     if args.quantifier in ("robustness", "all"):
         robustness: dict = {}
-        lower, witness_cut = _best_witness_lower(ket, rho, register)
+        lower, witness_cut = _best_witness_lower(ket, rho)
         robustness["lower"] = lower
         robustness["lower_witness_cut"] = witness_cut
         upper, candidate, certified, s_star = _best_mixing_upper(rho, register)
@@ -180,16 +178,18 @@ def cmd_quantify(args) -> tuple[dict, int]:
     return _run_report("quantify", config, results, args.seed), exit_code
 
 
-def _best_witness_lower(ket: Ket, rho: HermOp, register: Register):
-    """Best cap-identity witness value over per-cut Schmidt-aligned witnesses."""
+def _best_witness_lower(ket: Ket, rho: HermOp):
+    """Best cap-identity witness value over per-cut Schmidt-aligned witnesses.
+
+    ``rho`` is the density of the unit ket ``ket``, whose Schmidt vectors
+    align the witnesses.
+    """
     best = 0.0
     best_cut = None
-    dominant = linops.eig_hermitian(rho).eigenvectors[:, -1]
-    dominant_ket = Ket(register, dominant)
-    if register.nsub < 2:
+    if ket.register.nsub < 2:
         return best, best_cut
-    for cut in linops.single_cut_partitions(register):
-        w = witnesses.maxent_cut_witness(dominant_ket, cut)
+    for cut in linops.single_cut_partitions(ket.register):
+        w = witnesses.maxent_cut_witness(ket, cut)
         bound = quantifiers.rg_lower_via_witness(rho, w)
         if bound.lower > best:
             best = bound.lower
@@ -250,7 +250,6 @@ def cmd_sweep(args) -> tuple[dict, int]:
             samples=args.samples,
             seed=args.seed,
             mode=mode,
-            workers=args.threads,
         )
     except BoundViolationError as err:
         results = {"error": str(err), "instance": err.instance}
@@ -323,12 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I,J,...",
         help="subsystem indices forming the transposed side; repeatable",
     )
-    _common_flags(quantify)
+    quantify.add_argument(
+        "--tolerance",
+        type=float,
+        default=None,
+        help="SDP certificate tolerance (default: dimension-based)",
+    )
+    quantify.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sat = sub.add_parser("ghz-saturation", help="run the GHZ saturation experiment")
     sat.add_argument("--n", type=int, required=True, help="qubit count (>= 2)")
     sat.add_argument("--phi", type=float, default=0.0, help="relative phase in radians")
-    _common_flags(sat)
+    sat.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sweep = sub.add_parser("sweep", help="random stress sweep of the bounds")
     sweep.add_argument(
@@ -337,26 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--samples", type=int, default=1000)
     sweep.add_argument("--qubits", type=int, default=2)
     sweep.add_argument("--csv", metavar="PATH", help="write per-sample rows to PATH")
-    _common_flags(sweep)
-
-    return parser
-
-
-def _common_flags(cmd) -> None:
-    cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    cmd.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="SDP certificate tolerance (default: dimension-based)",
-    )
-    cmd.add_argument("--threads", type=int, default=1)
-    cmd.add_argument(
+    sweep.add_argument(
         "--renormalize",
         action=argparse.BooleanOptionalAction,
         default=supbound.DEFAULT_GAMMA_MODE == "renormalize",
         help="evaluate bounds on the renormalized superposition (default)",
     )
+    sweep.add_argument(
+        "--threads", type=int, default=1, help="deprecated; accepted and ignored"
+    )
+    sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
+
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

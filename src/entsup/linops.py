@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,14 +13,20 @@ HERMITICITY_TOL = 1e-10
 # so exact structural zeros (e.g. GHZ partial transposes) stay out of it.
 NEG_EIGENSPACE_TOL = 1e-9
 PSD_TOL = 1e-9
+DENSITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class HermOp:
-    """Dense Hermitian operator over a register."""
+    """Dense Hermitian operator over a register.
+
+    The matrix is read-only, so its ascending eigenvalues are computed at most
+    once, on the first call to :meth:`eigenvalues`.
+    """
 
     register: Register
     matrix: np.ndarray
+    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.complex128)
@@ -37,8 +43,27 @@ class HermOp:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def rank_one(cls, register: Register, vector: np.ndarray) -> "HermOp":
+        """|v><v|, whose spectrum {<v|v>, 0, ..., 0} needs no eigensolve."""
+        v = np.asarray(vector)
+        op = cls(register, np.outer(v, v.conj()))
+        spectrum = np.zeros(register.size)
+        spectrum[-1] = np.vdot(v, v).real
+        spectrum.setflags(write=False)
+        object.__setattr__(op, "_eigenvalues", spectrum)
+        return op
+
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
+
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues (read-only), from one eigensolve at most."""
+        if self._eigenvalues is None:
+            w = np.linalg.eigvalsh(self.matrix)
+            w.setflags(write=False)
+            object.__setattr__(self, "_eigenvalues", w)
+        return self._eigenvalues
 
 
 @dataclass(frozen=True)
@@ -94,14 +119,23 @@ def identity(register: Register) -> HermOp:
 def partial_transpose(op: HermOp, partition: Partition) -> HermOp:
     """Transpose the subsystems in ``partition``, leaving the rest alone."""
     partition.validate(op.register)
-    dims = op.register.dims
-    n = op.register.nsub
-    d = op.register.size
-    tens = op.matrix.reshape(dims + dims)
+    return HermOp(
+        op.register,
+        _transpose_subsystems(op.matrix, op.register.dims, partition.transposed),
+    )
+
+
+def _transpose_subsystems(matrix: np.ndarray, dims, transposed) -> np.ndarray:
+    """Array-level partial transpose; the SDP kernel calls it on raw iterates."""
+    if not transposed:
+        return matrix
+    n = len(dims)
+    d = matrix.shape[0]
+    tens = matrix.reshape(dims + dims)
     axes = list(range(2 * n))
-    for i in partition.transposed:
+    for i in transposed:
         axes[i], axes[n + i] = axes[n + i], axes[i]
-    return HermOp(op.register, tens.transpose(axes).reshape(d, d))
+    return tens.transpose(axes).reshape(d, d)
 
 
 def eig_hermitian(op: HermOp) -> EigDecomp:
@@ -112,15 +146,22 @@ def eig_hermitian(op: HermOp) -> EigDecomp:
 
 def operator_norm(op: HermOp) -> float:
     """Largest singular value; for Hermitian input this is max |eigenvalue|."""
-    w = np.linalg.eigvalsh(op.matrix)
-    return float(np.max(np.abs(w))) if w.size else 0.0
+    return float(np.max(np.abs(op.eigenvalues())))
 
 
 def is_psd(op: HermOp, tol: float = PSD_TOL) -> bool:
     """True when the smallest eigenvalue is >= -tol."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    return bool(np.linalg.eigvalsh(op.matrix)[0] >= -tol)
+    return bool(op.eigenvalues()[0] >= -tol)
+
+
+def check_density(rho: HermOp, tol: float = DENSITY_TOL) -> None:
+    """Raise ValueError unless rho has unit trace and is positive semidefinite."""
+    if abs(rho.trace() - 1.0) > tol:
+        raise ValueError(f"state trace {rho.trace():.12f} is not 1")
+    if not is_psd(rho, tol):
+        raise ValueError("state is not positive semidefinite")
 
 
 def neg_eigenspace_projector(op: HermOp, tol: float = NEG_EIGENSPACE_TOL) -> HermOp:

@@ -110,6 +110,13 @@ class SuperposCoeffs:
 
 def basis_ket(register: Register, indices: Sequence[int]) -> Ket:
     """Computational basis ket |i0 i1 ... i_{N-1}> with one label per subsystem."""
+    amp = np.zeros(register.size, dtype=np.complex128)
+    amp[basis_index(register, indices)] = 1.0
+    return Ket(register, amp)
+
+
+def basis_index(register: Register, indices: Sequence[int]) -> int:
+    """Flat row-major position of |i0 i1 ... i_{N-1}>, one label per subsystem."""
     labels = tuple(int(i) for i in indices)
     if len(labels) != register.nsub:
         raise ValueError(
@@ -120,9 +127,12 @@ def basis_ket(register: Register, indices: Sequence[int]) -> Ket:
         if not 0 <= label < dim:
             raise ValueError(f"basis label {label} out of range for dimension {dim}")
         flat = flat * dim + label
-    amp = np.zeros(register.size, dtype=np.complex128)
-    amp[flat] = 1.0
-    return Ket(register, amp)
+    return flat
+
+
+def complex_pairs(values) -> list[list[float]]:
+    """The ``[re, im]`` encoding of complex numbers used by state files and reports."""
+    return [[z.real, z.imag] for z in values]
 
 
 def tensor(left: Ket, right: Ket) -> Ket:
@@ -179,8 +189,7 @@ def overlap(psi: Ket, phi: Ket) -> complex:
 
 
 def density(psi: Ket):
-    """Outer product |psi><psi| as a Hermitian operator."""
+    """Outer product |psi><psi| as a Hermitian operator, spectrum known up front."""
     from .linops import HermOp
 
-    amp = psi.amplitudes
-    return HermOp(psi.register, np.outer(amp, amp.conj()))
+    return HermOp.rank_one(psi.register, psi.amplitudes)

@@ -12,7 +12,6 @@ from .linops import HermOp, Partition
 from .qstate import Ket, RegisterMismatchError
 from .witnesses import Witness, WitnessClassError, eval_witness
 
-DENSITY_TOL = 1e-9
 DIAGONAL_TOL = 1e-10
 
 
@@ -20,9 +19,8 @@ DIAGONAL_TOL = 1e-10
 class RobustnessBounds:
     """One- or two-sided bracket on the generalized robustness of a state.
 
-    ``upper`` is None while unknown. ``certified_upper`` is set only when the
-    mixing point passed the diagonal-product separability certificate; a
-    PPT-on-all-cuts pass alone never certifies (bound entanglement exists).
+    ``upper`` is None while unknown. ``certified_upper`` is set when the
+    mixing point passed the diagonal-product separability certificate.
     """
 
     lower: float = 0.0
@@ -62,24 +60,36 @@ class QuantifierConfig:
 
 @dataclass(frozen=True)
 class MixingSearch:
-    """Search settings for the mixing upper bound.
+    """Settings for the mixing upper bound.
 
-    The bracket defaults to [0, register size]; the grid is refined by
-    bisection down to ``resolution``, and the returned point is always
-    re-checked against the certificate.
+    Mixing weights are taken from [0, s_max], which defaults to [0, register
+    size]. A weight passes when every off-diagonal entry of the mixture has
+    modulus at most ``certificate_tol``.
     """
 
     s_max: float | None = None
-    resolution: float = 1e-6
-    coarse_steps: int = 1024
-    certificate: Literal["diagonal", "ppt"] = "diagonal"
     certificate_tol: float = DIAGONAL_TOL
 
     def __post_init__(self):
         if self.s_max is not None and self.s_max <= 0:
-            raise ValueError("bisection bracket top must be positive")
-        if self.resolution <= 0 or self.coarse_steps < 2:
-            raise ValueError("invalid bisection bracket settings")
+            raise ValueError("mixing weight bound s_max must be positive")
+
+
+def pt_profile(
+    rho: HermOp, partitions: Sequence[Partition], tol: float = linops.PSD_TOL
+) -> list[tuple[float, bool]]:
+    """Negativity and Peres flag per bipartition, from one eigensolve of each rho^{T_A}.
+
+    The flag says whether rho^{T_A} is positive semidefinite within ``tol``.
+    """
+    linops.check_density(rho)
+    profile = []
+    for p in partitions:
+        p.validate(rho.register, proper=True)
+        rt = linops.partial_transpose(rho, p)
+        value = float(np.sum(np.clip(-rt.eigenvalues(), 0.0, None)))
+        profile.append((value, linops.is_psd(rt, tol)))
+    return profile
 
 
 def negativity(rho: HermOp, partition: Partition) -> float:
@@ -88,10 +98,7 @@ def negativity(rho: HermOp, partition: Partition) -> float:
     No factor-2 rescaling: the value equals -Tr(W rho) for the witness built
     by :func:`entsup.witnesses.negativity_optimal_witness`.
     """
-    _check_density(rho)
-    partition.validate(rho.register, proper=True)
-    w = np.linalg.eigvalsh(linops.partial_transpose(rho, partition).matrix)
-    return float(np.sum(np.clip(-w, 0.0, None)))
+    return pt_profile(rho, [partition])[0][0]
 
 
 def witnessed_entanglement_pure(psi: Ket, w: Witness) -> float:
@@ -103,12 +110,7 @@ def ppt_check(
     rho: HermOp, partitions: Sequence[Partition], tol: float = linops.PSD_TOL
 ) -> list[bool]:
     """Peres test per bipartition: is rho^{T_A} positive semidefinite?"""
-    _check_density(rho)
-    results = []
-    for p in partitions:
-        p.validate(rho.register, proper=True)
-        results.append(linops.is_psd(linops.partial_transpose(rho, p), tol))
-    return results
+    return [flag for _, flag in pt_profile(rho, partitions, tol)]
 
 
 def mix(rho: HermOp, pi: HermOp, s: float) -> HermOp:
@@ -143,51 +145,38 @@ def rg_lower_via_witness(rho: HermOp, w: Witness) -> RobustnessBounds:
 def rg_upper_via_mixing(
     rho: HermOp, pi: HermOp, search: MixingSearch | None = None
 ) -> RobustnessBounds:
-    """Smallest mixing weight s making (rho + s*pi)/(1+s) pass a certificate.
+    """Smallest mixing weight s making (rho + s*pi)/(1+s) pass the certificate.
 
     Tries, in order: s = 0; the analytic cancellation point where every
     off-diagonal of rho + s*pi vanishes simultaneously (exact for states whose
-    coherences are proportional to minus the mixing state's); then a coarse
-    grid over [0, s_max] refined by bisection, keeping the passing endpoint
-    exactly. Returns an unknown upper bound when nothing passes.
+    coherences are proportional to minus the mixing state's); then the closed
+    form left end of the passing set. Every candidate is re-checked against
+    the certificate; when none passes in [0, s_max] the upper bound is unknown.
     """
-    _check_density(rho)
-    _check_density(pi)
+    linops.check_density(rho)
+    linops.check_density(pi)
     if rho.register != pi.register:
         raise RegisterMismatchError("state and mixing state registers differ")
     if search is None:
         search = MixingSearch()
     s_max = float(search.s_max) if search.s_max is not None else float(rho.register.size)
-
-    def passes(s: float) -> bool:
-        return _certificate(mix(rho, pi, s), search)
-
-    if passes(0.0):
-        return _upper_result(0.0, rho, pi, search)
-
-    s_exact = _diagonal_cancellation_point(rho, pi)
-    if s_exact is not None and 0.0 < s_exact <= s_max and passes(s_exact):
-        return _upper_result(s_exact, rho, pi, search)
-
-    grid = np.linspace(0.0, s_max, search.coarse_steps + 1)
-    hi = None
-    lo = 0.0
-    for s in grid[1:]:
-        if passes(float(s)):
-            hi = float(s)
-            break
-        lo = float(s)
-    if hi is None:
-        return RobustnessBounds(lower=0.0, upper=None, mixing_state_used=pi)
-    while hi - lo > search.resolution:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    if not passes(hi):
-        return RobustnessBounds(lower=0.0, upper=None, mixing_state_used=pi)
-    return _upper_result(hi, rho, pi, search)
+    tol = search.certificate_tol
+    candidates = (
+        lambda: 0.0,
+        lambda: _diagonal_cancellation_point(rho, pi),
+        lambda: _passing_set_left_end(rho, pi, tol),
+    )
+    for candidate in candidates:
+        s = candidate()
+        if (
+            s is not None
+            and s <= s_max
+            and separability_certificate_diagonal(mix(rho, pi, s), tol)
+        ):
+            return RobustnessBounds(
+                lower=0.0, upper=s, certified_upper=True, mixing_state_used=pi, s_star=s
+            )
+    return RobustnessBounds(lower=0.0, upper=None, mixing_state_used=pi)
 
 
 def rg_ppt_sdp(
@@ -210,7 +199,7 @@ def rg_ppt_sdp(
         raise ValueError(
             f"robustness SDP limited to dimension {sdpcore.MAX_DIMENSION}, got {d}"
         )
-    _check_density(rho)
+    linops.check_density(rho)
     if tol is None:
         tol = sdpcore.default_tolerance(d)
     problem = sdpcore.build_robustness_sdp(rho, partitions)
@@ -222,18 +211,6 @@ def rg_ppt_sdp(
             solution=solution,
         )
     return solution.primal_value
-
-
-def _certificate(sigma: HermOp, search: MixingSearch) -> bool:
-    if search.certificate == "diagonal":
-        return separability_certificate_diagonal(sigma, search.certificate_tol)
-    if search.certificate == "ppt":
-        parts = linops.single_cut_partitions(sigma.register)
-        return all(
-            linops.is_psd(linops.partial_transpose(sigma, p), linops.PSD_TOL)
-            for p in parts
-        )
-    raise ValueError(f"unknown certificate {search.certificate!r}")
 
 
 def _diagonal_cancellation_point(rho: HermOp, pi: HermOp) -> float | None:
@@ -261,21 +238,30 @@ def _diagonal_cancellation_point(rho: HermOp, pi: HermOp) -> float | None:
     return float(s.real)
 
 
-def _upper_result(
-    s: float, rho: HermOp, pi: HermOp, search: MixingSearch
-) -> RobustnessBounds:
-    certified = search.certificate == "diagonal"
-    return RobustnessBounds(
-        lower=0.0,
-        upper=s,
-        certified_upper=certified,
-        mixing_state_used=pi,
-        s_star=s,
-    )
+def _passing_set_left_end(rho: HermOp, pi: HermOp, tol: float) -> float | None:
+    """Smallest s >= 0 with |r_ij + s*p_ij| <= tol*(1 + s) for every i != j.
 
-
-def _check_density(rho: HermOp, tol: float = DENSITY_TOL) -> None:
-    if abs(rho.trace() - 1.0) > tol:
-        raise ValueError(f"state trace {rho.trace():.12f} is not 1")
-    if not linops.is_psd(rho, tol):
-        raise ValueError("state is not positive semidefinite")
+    Each condition is convex in s, so the passing set is an interval and its
+    left end is the largest per-entry left end: 0 where the entry passes at
+    s = 0, else the smaller root of |r + s p|^2 = tol^2 (1 + s)^2, written as
+    c / (sqrt(disc) - b) to avoid cancellation. None when some entry never
+    passes. The returned point may still lie past the right end of another
+    entry's interval; the caller's re-check catches that. The target is
+    shrunk by a relative 1e-12 so that rounding in the re-check cannot push
+    the returned point just outside the set.
+    """
+    upper = np.triu_indices(rho.register.size, k=1)
+    r = rho.matrix[upper]
+    p = pi.matrix[upper]
+    t2 = (tol * (1.0 - 1e-12)) ** 2
+    a = np.abs(p) ** 2 - t2
+    b = (r.conj() * p).real - t2
+    c = np.abs(r) ** 2 - t2
+    disc = b * b - a * c
+    denom = np.sqrt(np.clip(disc, 0.0, None)) - b
+    failing = c > 0
+    if np.any(failing & ((disc < 0) | (denom <= 0))):
+        return None
+    if not failing.any():
+        return 0.0
+    return float(np.max(c[failing] / denom[failing]))

@@ -1,6 +1,6 @@
 """Minimal dense SDP kernel for the PPT-relaxed robustness program.
 
-Solves min Tr(C X) subject to a list of affine PSD constraints of the shape
+Solves min Tr(X) subject to a list of affine PSD constraints of the shape
 ``(offset + X)^{T_A} >= 0`` (the plain cone ``X >= 0`` is the special case of
 an empty transpose set and zero offset) with a consensus ADMM over the cones:
 each constraint keeps a local copy of X that is projected onto its cone, and
@@ -10,22 +10,23 @@ eigensolve with negative eigenvalues clipped.
 
 The stopping rule is a certificate, not a heuristic: a feasible primal point
 is produced by shifting the iterate along the identity, a feasible dual point
-by rescaling the clipped negative parts of the projections, and the solver
+by rescaling the clipped negative parts of the projections (the scale is
+1/lambda_max of their summed pull-back, capped at 1), and the solver
 stops when the true primal-dual gap between those two drops below the
 tolerance. ``check_certificate`` re-verifies both facts from scratch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .linops import HermOp, Partition
+from .linops import HermOp, Partition, _transpose_subsystems
 
 DEFAULT_TOL = 1e-6
-DUAL_PSD_SLACK = 1e-12
 FEASIBILITY_TOL = 1e-7
 MAX_DIMENSION = 256
 
@@ -52,22 +53,23 @@ class PsdConstraint:
     transposed: tuple[int, ...]
 
     def apply(self, x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-        return _partial_transpose(self.offset + x, dims, self.transposed)
+        return _transpose_subsystems(self.offset + x, dims, self.transposed)
 
     def back(self, y: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         """Inverse of the transpose part (partial transpose is an involution)."""
-        return _partial_transpose(y, dims, self.transposed)
+        return _transpose_subsystems(y, dims, self.transposed)
 
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
+    """Minimize Tr(X) subject to every constraint being PSD."""
+
     dims: tuple[int, ...]
-    objective: np.ndarray
     constraints: tuple[PsdConstraint, ...]
 
     @property
     def variable_dim(self) -> int:
-        return self.objective.shape[0]
+        return math.prod(self.dims)
 
 
 @dataclass(eq=False)
@@ -92,7 +94,7 @@ def build_robustness_sdp(rho: HermOp, partitions: Sequence[Partition]) -> SdpPro
         cons.append(
             PsdConstraint(rho.matrix.copy(), tuple(sorted(p.transposed)))
         )
-    return SdpProblem(dims, np.eye(d, dtype=np.complex128), tuple(cons))
+    return SdpProblem(dims, tuple(cons))
 
 
 def solve(problem: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = 200_000) -> SdpSolution:
@@ -111,7 +113,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = 200_000
     d = problem.variable_dim
     cons = problem.constraints
     n_cons = len(cons)
-    c = problem.objective
+    c = np.eye(d, dtype=np.complex128)  # objective matrix: Tr(X) = Tr(I X)
 
     x = np.zeros((d, d), dtype=np.complex128)
     slots = [np.zeros_like(x) for _ in cons]
@@ -172,7 +174,7 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution, tol: float) ->
         w = np.linalg.eigvalsh(con.apply(x, problem.dims))
         if w[0] < -FEASIBILITY_TOL:
             return False
-    primal = float(np.trace(problem.objective @ x).real)
+    primal = float(np.trace(x).real)
     if abs(primal - solution.primal_value) > max(1e-9, 1e-9 * abs(primal)):
         return False
     if solution.dual_value > solution.primal_value + 1e-8:
@@ -188,9 +190,11 @@ def _certificate_attempt(problem, x, neg_parts, tau):
     const = 0.0
     for con, neg in zip(problem.constraints, neg_parts):
         z = tau * neg
-        total += _partial_transpose(z, problem.dims, con.transposed)
-        const += float(np.trace(z @ _partial_transpose(con.offset, problem.dims, con.transposed)).real)
-    theta = _max_dual_scale(problem.objective, total)
+        total += con.back(z, problem.dims)
+        const += float(np.trace(z @ con.back(con.offset, problem.dims)).real)
+    # The dual point needs I - theta * total >= 0; take the largest such theta <= 1.
+    lam_max = float(np.linalg.eigvalsh(total)[-1])
+    theta = 1.0 if lam_max <= 1.0 else 1.0 / lam_max
     dual = -theta * const
     return primal, dual, x_feas
 
@@ -206,32 +210,5 @@ def _feasible_lift(problem, x):
         w_min = float(np.linalg.eigvalsh(con.apply(x, problem.dims))[0])
         beta = max(beta, -w_min)
     x_feas = x + beta * np.eye(x.shape[0])
-    primal = float(np.trace(problem.objective @ x_feas).real)
+    primal = float(np.trace(x_feas).real)
     return primal, x_feas
-
-
-def _max_dual_scale(c, total):
-    """Largest theta in [0, 1] with c - theta * total still PSD."""
-    scale = max(1.0, float(np.max(np.abs(c))))
-    if float(np.linalg.eigvalsh(c - total)[0]) >= -DUAL_PSD_SLACK * scale:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if float(np.linalg.eigvalsh(c - mid * total)[0]) >= -DUAL_PSD_SLACK * scale:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _partial_transpose(matrix, dims, transposed):
-    if not transposed:
-        return matrix
-    n = len(dims)
-    d = matrix.shape[0]
-    tens = matrix.reshape(dims + dims)
-    axes = list(range(2 * n))
-    for i in transposed:
-        axes[i], axes[n + i] = axes[n + i], axes[i]
-    return tens.transpose(axes).reshape(d, d)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -17,6 +16,7 @@ from .qstate import (
     Register,
     SuperposCoeffs,
     basis_ket,
+    complex_pairs,
     density,
     ghz,
     qubit_register,
@@ -130,7 +130,8 @@ def check_bound_negativity(
     """Evaluate the negativity superposition bound for one instance.
 
     The witness side is fully constructive: the optimal witness of the
-    superposed state fixes the cross term through its operator norm. In
+    superposed state fixes the cross term through its operator norm, and its
+    expectation in the superposed state is that state's negativity. In
     ``renormalize`` mode (default) the left side is the negativity of the unit
     state; ``raw`` keeps the natural squared norm of a + b branches as a
     prefactor, matching the derivation for non-orthogonal branches.
@@ -142,10 +143,9 @@ def check_bound_negativity(
         cross = 0.0
     else:
         gamma_hat = gamma_raw.normalized()
-        rho_gamma = density(gamma_hat)
-        lhs_hat = quantifiers.negativity(rho_gamma, partition)
+        w_opt = witnesses.negativity_optimal_witness(density(gamma_hat), partition)
+        lhs_hat = quantifiers.witnessed_entanglement_pure(gamma_hat, w_opt)
         lhs = lhs_hat if mode == "renormalize" else gamma_norm * lhs_hat
-        w_opt = witnesses.negativity_optimal_witness(rho_gamma, partition)
         cross = 2.0 * coeffs.abs_product * linops.operator_norm(w_opt.op)
     term_psi = abs(coeffs.a) ** 2 * quantifiers.negativity(density(psi), partition)
     term_phi = abs(coeffs.b) ** 2 * quantifiers.negativity(density(phi), partition)
@@ -156,7 +156,9 @@ def check_bound_negativity(
         cross,
         "witness-norm",
         gamma_norm,
-        instance=_instance_payload(psi, phi, coeffs, partition=partition, mode=mode),
+        instance=lambda: _instance_payload(
+            psi, phi, coeffs, partition=partition, mode=mode
+        ),
     )
 
 
@@ -180,7 +182,7 @@ def check_bound_k(
         2.0 * k * coeffs.abs_product,
         "witness-class",
         gamma_norm,
-        instance=_instance_payload(psi, phi, coeffs, k=k),
+        instance=lambda: _instance_payload(psi, phi, coeffs, k=k),
     )
 
 
@@ -242,14 +244,12 @@ def random_sweep(
     samples: int,
     seed: int = DEFAULT_SEED,
     mode: GammaMode = DEFAULT_GAMMA_MODE,
-    workers: int = 1,
 ) -> SweepSummary:
     """Stress the applicable bound on random instances; any violation raises.
 
     State pairs are drawn from the rotation-invariant complex normal ensemble,
     coefficients as (cos t, e^{i x} sin t) with t, x uniform. Sample index i
-    runs on its own substream of ``seed``, so summaries are reproducible and
-    independent of ``workers``.
+    runs on its own substream of ``seed``, so summaries are reproducible.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -280,13 +280,7 @@ def random_sweep(
             for r in reports
         ]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(run, range(samples)))
-    else:
-        batches = [run(i) for i in range(samples)]
-
-    records = tuple(rec for batch in batches for rec in batch)
+    records = tuple(rec for i in range(samples) for rec in run(i))
     gaps = np.array([r.gap for r in records])
     return SweepSummary(
         samples=samples,
@@ -340,11 +334,12 @@ def _random_ket(rng, register: Register) -> Ket:
     return Ket(register, v / np.linalg.norm(v))
 
 
-def _make_report(lhs, term_psi, term_phi, cross, kind, gamma_norm, instance=None):
+def _make_report(lhs, term_psi, term_phi, cross, kind, gamma_norm, instance):
+    """Assemble the report; ``instance()`` builds the payload only on a violation."""
     rhs = term_psi + term_phi + cross
     gap = rhs - lhs
     if gap < -VIOLATION_TOL:
-        payload = dict(instance or {})
+        payload = instance()
         payload.update({"lhs": lhs, "rhs": rhs, "gap": gap})
         raise BoundViolationError(
             f"bound violated: lhs {lhs!r} exceeds rhs {rhs!r}", instance=payload
@@ -365,8 +360,8 @@ def _make_report(lhs, term_psi, term_phi, cross, kind, gamma_norm, instance=None
 def _instance_payload(psi, phi, coeffs, **extra):
     payload = {
         "dims": list(psi.register.dims),
-        "psi": [[z.real, z.imag] for z in psi.amplitudes],
-        "phi": [[z.real, z.imag] for z in phi.amplitudes],
+        "psi": complex_pairs(psi.amplitudes),
+        "phi": complex_pairs(phi.amplitudes),
         "a": [coeffs.a.real, coeffs.a.imag],
         "b": [coeffs.b.real, coeffs.b.imag],
     }

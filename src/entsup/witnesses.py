@@ -45,9 +45,8 @@ class Witness:
                 raise WitnessClassError("class bounds (m, n) must be nonnegative")
             object.__setattr__(self, "class_bounds", (m, n))
         if self.class_bounds is not None or self.cap_identity:
-            w = np.linalg.eigvalsh(self.op.matrix)
-            lo = float(w[0]) if w.size else 0.0
-            hi = float(w[-1]) if w.size else 0.0
+            w = self.op.eigenvalues()
+            lo, hi = float(w[0]), float(w[-1])
             if self.class_bounds is not None:
                 m, n = self.class_bounds
                 if hi > m + SPECTRUM_TOL or lo < -n - SPECTRUM_TOL:
@@ -108,7 +107,7 @@ def negativity_optimal_witness(rho: HermOp, partition: Partition) -> Witness:
     sum of |negative eigenvalues| of rho^{T_A}. A PPT state yields the zero
     witness.
     """
-    _check_density(rho)
+    linops.check_density(rho)
     partition.validate(rho.register, proper=True)
     rt = linops.partial_transpose(rho, partition)
     proj = linops.neg_eigenspace_projector(rt)
@@ -162,9 +161,7 @@ def witness_k(w: Witness) -> float:
     """
     if w.class_bounds is not None:
         return max(w.class_bounds)
-    spec = np.linalg.eigvalsh(w.op.matrix)
-    if spec.size == 0:
-        return 0.0
+    spec = w.op.eigenvalues()
     return max(0.0, float(spec[-1]), float(-spec[0]))
 
 
@@ -250,10 +247,3 @@ def _check_projector(projector: HermOp) -> None:
     dev = float(np.max(np.abs(p @ p - p)))
     if dev > 1e-9:
         raise ValueError(f"operator is not idempotent: max |P^2 - P| = {dev:.3e}")
-
-
-def _check_density(rho: HermOp, tol: float = 1e-9) -> None:
-    if abs(rho.trace() - 1.0) > tol:
-        raise ValueError(f"state trace {rho.trace():.12f} is not 1")
-    if not linops.is_psd(rho, tol):
-        raise ValueError("state is not positive semidefinite")

@@ -137,3 +137,22 @@ def grid_product_overlap_2q(projector, steps=400):
             prod = np.kron(v1, v2)
             best = max(best, float(np.real(prod @ projector @ prod)))
     return best
+
+
+def diagonal_mixing_scan(rho, pi, tol, s_max, steps=100_000):
+    """First weight on a uniform grid over [0, s_max] whose mixture is diagonal.
+
+    A weight passes when every off-diagonal entry of (rho + s*pi)/(1+s) has
+    modulus at most ``tol``. Returns ``(previous, first)`` grid weights, with
+    ``previous`` None when s = 0 passes, or None when no grid weight passes.
+    """
+    off = ~np.eye(rho.shape[0], dtype=bool)
+    r, p = rho[off], pi[off]
+    grid = np.linspace(0.0, s_max, steps + 1)
+    for start in range(0, grid.size, 4096):
+        s = grid[start:start + 4096, None]
+        passing = np.max(np.abs((r + s * p) / (1.0 + s)), axis=1) <= tol
+        if passing.any():
+            k = start + int(np.argmax(passing))
+            return (grid[k - 1] if k else None), grid[k]
+    return None

@@ -9,6 +9,7 @@ import pytest
 from entsup.cli import (
     EXIT_INPUT,
     EXIT_OK,
+    StateFileError,
     ket_to_state_document,
     load_state_file,
     main,
@@ -186,7 +187,7 @@ def test_sparse_state_document():
     assert ket.amplitudes[7] == pytest.approx(1j / math.sqrt(2))
 
 
-def test_sparse_state_document_errors():
+def test_sparse_state_document_errors(tmp_path):
     with pytest.raises(ValueError):
         parse_state_document(
             {"dims": [2, 2], "amplitudes": [{"basis": "02", "amp": [1, 0]}]}
@@ -197,6 +198,35 @@ def test_sparse_state_document_errors():
         )
     with pytest.raises(ValueError):
         parse_state_document({"dims": [2], "amplitudes": [[0.0, 0.0], [0.0, 0.0]]})
+    for second in ("0x", "00"):  # a non-digit label, then a repeated label
+        doc = {
+            "dims": [2, 2],
+            "amplitudes": [
+                {"basis": "00", "amp": [0.6, 0.0]},
+                {"basis": second, "amp": [0.8, 0.0]},
+            ],
+        }
+        with pytest.raises(StateFileError, match=r"^s\.json: amplitudes\[1\]: "):
+            parse_state_document(doc, where="s.json")
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(doc))
+        assert main(["quantify", str(path)]) == EXIT_INPUT
+
+
+def test_quantify_negativity_solves_each_cut_once(tmp_path, capsys, monkeypatch, rng):
+    path = write_state(
+        tmp_path, "q3.json", Ket(qubit_register(3), random_pure_amplitudes(rng, 8))
+    )
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            solves.append(a.shape)
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    code, _ = run_cli(capsys, "quantify", path, "--quantifier", "negativity")
+    assert code == EXIT_OK
+    assert solves == [(8, 8)] * 3  # one partial-transpose spectrum per cut
 
 
 def test_report_is_json_with_metadata(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from entsup.linops import HermOp, part, single_cut_partitions
 from entsup.qstate import Ket, basis_ket, density, ghz, qubit_register
 from entsup.quantifiers import (
+    DIAGONAL_TOL,
     MixingSearch,
     QuantifierConfig,
     RobustnessBounds,
@@ -29,6 +30,7 @@ from entsup.witnesses import (
 )
 
 from conftest import loop_partial_transpose, random_pure_amplitudes
+from oracles import diagonal_mixing_scan
 
 
 def two_qubit_pure(a, b):
@@ -161,18 +163,6 @@ def test_rg_upper_via_mixing_ghz_exact():
             assert bounds.s_star == bounds.upper
 
 
-def test_rg_upper_with_ppt_heuristic_certificate():
-    # Bell state against white noise: the partial transpose turns PSD at s = 2,
-    # i.e. (-1/2 + s/4) / (1 + s) >= 0. A PPT pass never certifies.
-    rho = density(ghz(2, 0.0))
-    maxmix = HermOp(rho.register, np.eye(4, dtype=complex) / 4)
-    bounds = rg_upper_via_mixing(
-        rho, maxmix, MixingSearch(certificate="ppt", s_max=8.0)
-    )
-    assert bounds.upper == pytest.approx(2.0, abs=1e-5)
-    assert not bounds.certified_upper
-
-
 def test_rg_upper_trivial_and_unknown():
     reg = qubit_register(2)
     diag = HermOp(reg, np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex))
@@ -180,9 +170,95 @@ def test_rg_upper_trivial_and_unknown():
     assert rg_upper_via_mixing(diag, pi).upper == 0.0
 
     rho = density(ghz(2, 0.0))
-    self_mix = rg_upper_via_mixing(rho, rho, MixingSearch(coarse_steps=64))
+    self_mix = rg_upper_via_mixing(rho, rho)
     assert self_mix.upper is None
     assert not self_mix.certified_upper
+
+
+def near_diagonal_density(rng, d, coherence):
+    """Diagonal state plus random coherences on the scale of ``coherence``."""
+    probs = 1.0 + rng.uniform(size=d)
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = np.triu(h, 1) * coherence / 3.0
+    matrix = np.diag(probs / probs.sum()) + h + h.conj().T
+    return HermOp(qubit_register(int(math.log2(d))), matrix)
+
+
+def off_diagonal_max(rho, pi, s):
+    sigma = (rho.matrix + s * pi.matrix) / (1.0 + s)
+    return float(np.max(np.abs(sigma - np.diag(np.diag(sigma)))))
+
+
+def test_rg_upper_closed_form_matches_fine_scan(rng):
+    checked = 0
+    for trial in range(18):
+        d = 4 if trial % 2 else 8
+        rho = near_diagonal_density(rng, d, 6e-10)
+        pi = near_diagonal_density(rng, d, 3e-11)
+        if trial % 3 == 0:
+            pi = HermOp(rho.register, np.eye(d, dtype=complex) / d)
+        elif trial % 3 == 2:
+            # Coherences opposing rho's: a bounded passing interval near s = 2.
+            off = rho.matrix - np.diag(np.diag(rho.matrix))
+            pi = HermOp(rho.register, pi.matrix - 0.5 * off)
+        bounds = rg_upper_via_mixing(rho, pi)
+        scan = diagonal_mixing_scan(rho.matrix, pi.matrix, DIAGONAL_TOL, float(d))
+        if bounds.upper is not None:
+            assert bounds.certified_upper and bounds.s_star == bounds.upper
+            assert off_diagonal_max(rho, pi, bounds.upper) <= DIAGONAL_TOL
+        if scan is None:
+            continue
+        previous, first = scan
+        assert bounds.upper is not None, f"trial {trial}"
+        assert bounds.upper <= first + 1e-9
+        assert previous is None or bounds.upper > previous
+        checked += 1
+    assert checked >= 15
+
+
+def test_rg_upper_closed_form_special_cases():
+    d = 8
+    reg = qubit_register(3)
+    coherent = np.full((d, d), 5e-10, dtype=complex)
+    np.fill_diagonal(coherent, 1.0 / d)
+    rho = HermOp(reg, coherent)
+    maxmix = HermOp(reg, np.eye(d, dtype=complex) / d)
+    s = rg_upper_via_mixing(rho, maxmix).upper
+    assert s == pytest.approx(4.0, abs=1e-9)
+    previous, first = diagonal_mixing_scan(rho.matrix, maxmix.matrix, DIAGONAL_TOL, 8.0)
+    assert previous < s <= first
+    assert rg_upper_via_mixing(rho, maxmix, MixingSearch(s_max=3.9)).upper is None
+
+    bell = density(ghz(2, 0.3))
+    assert rg_upper_via_mixing(bell, bell).upper is None
+    assert diagonal_mixing_scan(bell.matrix, bell.matrix, DIAGONAL_TOL, 4.0) is None
+
+    for n in (2, 3, 5):
+        for phi in (0.0, 0.7, math.pi):
+            rho = density(ghz(n, phi))
+            pi = density(ghz(n, phi, orthogonal=True))
+            assert rg_upper_via_mixing(rho, pi).upper == 1.0
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.diag([1.0, 0.5, 0.25, 0.25]), np.diag([1.2, -0.2, 0.0, 0.0])],
+    ids=["trace-2", "not-psd"],
+)
+def test_bad_density_is_rejected(matrix):
+    bad = HermOp(qubit_register(2), matrix.astype(complex))
+    good = density(ghz(2, 0.0))
+    calls = [
+        lambda: negativity(bad, part(0)),
+        lambda: ppt_check(bad, [part(0)]),
+        lambda: negativity_optimal_witness(bad, part(0)),
+        lambda: rg_upper_via_mixing(bad, good),
+        lambda: rg_upper_via_mixing(good, bad),
+        lambda: rg_ppt_sdp(bad, [part(0)]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_rg_lower_via_witness_examples():
