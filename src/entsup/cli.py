@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 2 input error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -190,9 +191,11 @@ def _best_witness_lower(ket: Ket, rho: HermOp):
         return best, best_cut
     for cut in linops.single_cut_partitions(ket.register):
         w = witnesses.maxent_cut_witness(ket, cut)
-        bound = quantifiers.rg_lower_via_witness(rho, w)
-        if bound.lower > best:
-            best = bound.lower
+        lower = quantifiers.rg_lower_via_witness(rho, w).lower
+        # A later cut must win by more than rounding, so the lowest cut wins a tie.
+        margin = 0.0 if best_cut is None else 1e-12 * max(1.0, best)
+        if lower > best + margin:
+            best = lower
             best_cut = sorted(cut.transposed)
     return best, best_cut
 
@@ -233,7 +236,7 @@ def cmd_ghz_saturation(args) -> tuple[dict, int]:
         return _run_report("ghz-saturation", config, results, args.seed), EXIT_SATURATION
     config = {"n": args.n, "phi": args.phi}
     return _run_report(
-        "ghz-saturation", config, {"report": _report_dict(report)}, args.seed
+        "ghz-saturation", config, {"report": dataclasses.asdict(report)}, args.seed
     ), EXIT_OK
 
 
@@ -276,20 +279,6 @@ def _write_csv(path: str, summary) -> None:
         )
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-def _report_dict(report) -> dict:
-    return {
-        "lhs": report.lhs,
-        "term_psi": report.term_psi,
-        "term_phi": report.term_phi,
-        "cross_term": report.cross_term,
-        "rhs": report.rhs,
-        "gap": report.gap,
-        "saturated": report.saturated,
-        "inequality_kind": report.inequality_kind,
-        "gamma_norm": report.gamma_norm,
-    }
 
 
 def _run_report(command: str, config: dict, results: dict, seed: int) -> dict:

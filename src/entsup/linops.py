@@ -44,15 +44,23 @@ class HermOp:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
+    def with_spectrum(
+        cls, register: Register, matrix: np.ndarray, spectrum: np.ndarray
+    ) -> "HermOp":
+        """Operator whose ascending spectrum is known by construction, never solved for."""
+        op = cls(register, matrix)
+        w = np.array(spectrum, dtype=float)
+        w.setflags(write=False)
+        object.__setattr__(op, "_eigenvalues", w)
+        return op
+
+    @classmethod
     def rank_one(cls, register: Register, vector: np.ndarray) -> "HermOp":
         """|v><v|, whose spectrum {<v|v>, 0, ..., 0} needs no eigensolve."""
         v = np.asarray(vector)
-        op = cls(register, np.outer(v, v.conj()))
         spectrum = np.zeros(register.size)
         spectrum[-1] = np.vdot(v, v).real
-        spectrum.setflags(write=False)
-        object.__setattr__(op, "_eigenvalues", spectrum)
-        return op
+        return cls.with_spectrum(register, np.outer(v, v.conj()), spectrum)
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)

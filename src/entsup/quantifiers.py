@@ -192,17 +192,10 @@ def rg_ppt_sdp(
     the configured tolerance; non-convergence raises
     :class:`entsup.sdpcore.SolverFailureError` with the best feasible value.
     """
-    if not partitions:
-        raise ValueError("need at least one partition")
-    d = rho.register.size
-    if d > sdpcore.MAX_DIMENSION:
-        raise ValueError(
-            f"robustness SDP limited to dimension {sdpcore.MAX_DIMENSION}, got {d}"
-        )
+    problem = sdpcore.build_robustness_sdp(rho, partitions)
     linops.check_density(rho)
     if tol is None:
-        tol = sdpcore.default_tolerance(d)
-    problem = sdpcore.build_robustness_sdp(rho, partitions)
+        tol = sdpcore.default_tolerance(problem.variable_dim)
     solution = sdpcore.solve(problem, tol=tol, max_iter=max_iter)
     if solution.status != "optimal":
         raise sdpcore.SolverFailureError(

@@ -1,12 +1,15 @@
 """Minimal dense SDP kernel for the PPT-relaxed robustness program.
 
-Solves min Tr(X) subject to a list of affine PSD constraints of the shape
-``(offset + X)^{T_A} >= 0`` (the plain cone ``X >= 0`` is the special case of
-an empty transpose set and zero offset) with a consensus ADMM over the cones:
-each constraint keeps a local copy of X that is projected onto its cone, and
-the copies are averaged against the objective. Because a partial transpose is
-an entrywise permutation, projecting onto each cone is a single Hermitian
-eigensolve with negative eigenvalues clipped.
+Solves min Tr(X) subject to X >= 0 and (rho + X)^{T_A} >= 0 for every listed
+cut A. Cone i reads (offset_i + X)^{T_i} >= 0, with offset 0 and no transpose
+for X >= 0 and offset rho for each cut, so the program is one stacked
+(k, d, d) offsets array and one flat gather index per cone. A partial
+transpose permutes matrix entries and is an involution, so one gather applies
+every cone's transpose and the same gather undoes it.
+
+A consensus ADMM keeps a local copy of X per cone, projects each copy onto its
+cone by clipping the negative eigenvalues of its transposed form (one batched
+eigensolve for all cones), and averages the copies against the objective.
 
 The stopping rule is a certificate, not a heuristic: a feasible primal point
 is produced by shifting the iterate along the identity, a feasible dual point
@@ -29,6 +32,7 @@ from .linops import HermOp, Partition, _transpose_subsystems
 DEFAULT_TOL = 1e-6
 FEASIBILITY_TOL = 1e-7
 MAX_DIMENSION = 256
+CHECK_EVERY = 25
 
 
 def default_tolerance(dim: int) -> float:
@@ -46,30 +50,30 @@ class SolverFailureError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class PsdConstraint:
-    """Affine map X -> (offset + X) partially transposed over ``transposed``."""
-
-    offset: np.ndarray
-    transposed: tuple[int, ...]
-
-    def apply(self, x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-        return _transpose_subsystems(self.offset + x, dims, self.transposed)
-
-    def back(self, y: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-        """Inverse of the transpose part (partial transpose is an involution)."""
-        return _transpose_subsystems(y, dims, self.transposed)
-
-
-@dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """Minimize Tr(X) subject to every constraint being PSD."""
+    """Minimize Tr(X) subject to (offsets[i] + X)^{T_i} >= 0 for every cone i.
+
+    ``transposed[i]`` names the subsystems of T_i, and ``gather`` holds, for
+    every entry of the stacked (k, d, d) array, the flat index of the entry
+    that T_i moves there.
+    """
 
     dims: tuple[int, ...]
-    constraints: tuple[PsdConstraint, ...]
+    transposed: tuple[tuple[int, ...], ...]
+    offsets: np.ndarray
+    gather: np.ndarray
 
     @property
     def variable_dim(self) -> int:
         return math.prod(self.dims)
+
+    def transpose(self, stack: np.ndarray) -> np.ndarray:
+        """Apply T_i to slice i of a stacked (k, d, d) array; its own inverse."""
+        return stack.reshape(-1)[self.gather]
+
+    def cones(self, x: np.ndarray) -> np.ndarray:
+        """The stacked constraint matrices (offsets[i] + x)^{T_i}."""
+        return self.transpose(self.offsets + x)
 
 
 @dataclass(eq=False)
@@ -79,7 +83,7 @@ class SdpSolution:
     dual_value: float
     gap: float
     iterations: int
-    status: str  # "optimal" | "max_iter" | "infeasible"
+    status: str  # "optimal" | "max_iter"
 
 
 def build_robustness_sdp(rho: HermOp, partitions: Sequence[Partition]) -> SdpProblem:
@@ -87,14 +91,20 @@ def build_robustness_sdp(rho: HermOp, partitions: Sequence[Partition]) -> SdpPro
     if not partitions:
         raise ValueError("need at least one partition")
     d = rho.register.size
-    dims = rho.register.dims
-    cons = [PsdConstraint(np.zeros((d, d), dtype=np.complex128), ())]
+    if d > MAX_DIMENSION:
+        raise ValueError(f"robustness SDP limited to dimension {MAX_DIMENSION}, got {d}")
     for p in partitions:
         p.validate(rho.register, proper=True)
-        cons.append(
-            PsdConstraint(rho.matrix.copy(), tuple(sorted(p.transposed)))
-        )
-    return SdpProblem(dims, tuple(cons))
+    dims = rho.register.dims
+    transposed = ((),) + tuple(tuple(sorted(p.transposed)) for p in partitions)
+    k = len(transposed)
+    offsets = np.zeros((k, d, d), dtype=np.complex128)
+    offsets[1:] = rho.matrix
+    entries = np.arange(d * d).reshape(d, d)
+    gather = np.stack(
+        [_transpose_subsystems(entries, dims, t) + i * d * d for i, t in enumerate(transposed)]
+    )
+    return SdpProblem(dims, transposed, offsets, gather)
 
 
 def solve(problem: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = 200_000) -> SdpSolution:
@@ -105,75 +115,58 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = 200_000
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if problem.variable_dim > MAX_DIMENSION:
-        raise ValueError(
-            f"kernel limited to dimension {MAX_DIMENSION}, got {problem.variable_dim}"
-        )
-    dims = problem.dims
+    if max_iter < 1:
+        raise ValueError(f"need at least one iteration, got max_iter={max_iter}")
     d = problem.variable_dim
-    cons = problem.constraints
-    n_cons = len(cons)
+    k = len(problem.transposed)
     c = np.eye(d, dtype=np.complex128)  # objective matrix: Tr(X) = Tr(I X)
 
     x = np.zeros((d, d), dtype=np.complex128)
-    slots = [np.zeros_like(x) for _ in cons]
-    duals = [np.zeros_like(x) for _ in cons]
-    neg_parts = [np.zeros_like(x) for _ in cons]
+    duals = np.zeros((k, d, d), dtype=np.complex128)
     tau = 1.0
-    check_every = 25
-    x_at_last_check = x.copy()
+    x_at_last_check = x
     best = None
 
     iterations = 0
     while iterations < max_iter:
         iterations += 1
-        for i, con in enumerate(cons):
-            y = con.apply(x - duals[i], dims)
-            w, v = np.linalg.eigh(y)
-            pos = (v * np.clip(w, 0.0, None)) @ v.conj().T
-            neg_parts[i] = (v * np.clip(-w, 0.0, None)) @ v.conj().T
-            slots[i] = con.back(pos, dims) - con.offset
-        x = sum(s + u for s, u in zip(slots, duals)) / n_cons - c / (n_cons * tau)
+        w, v = np.linalg.eigh(problem.cones(x - duals))
+        slots = problem.transpose(_scaled_outer(v, np.clip(w, 0.0, None)))
+        slots -= problem.offsets
+        x = (slots + duals).sum(axis=0) / k - c / (k * tau)
         x = 0.5 * (x + x.conj().T)
-        for i in range(n_cons):
-            duals[i] = duals[i] + slots[i] - x
+        duals += slots
+        duals -= x
 
-        if iterations % check_every == 0 or iterations == max_iter:
-            cert = _certificate_attempt(problem, x, neg_parts, tau)
-            if cert is not None:
-                primal, dual, x_feas = cert
-                gap = primal - dual
-                if best is None or gap < best[2]:
-                    best = (primal, dual, gap, x_feas, iterations)
-                if gap <= tol:
-                    return SdpSolution(x_feas, primal, dual, gap, iterations, "optimal")
+        if iterations % CHECK_EVERY == 0 or iterations == max_iter:
+            neg = _scaled_outer(v, np.clip(-w, 0.0, None))
+            primal, dual, x_feas = _certificate_attempt(problem, x, neg, tau)
+            gap = primal - dual
+            if gap <= tol:
+                return SdpSolution(x_feas, primal, dual, gap, iterations, "optimal")
+            if best is None or gap < best.gap:
+                best = SdpSolution(x_feas, primal, dual, gap, iterations, "max_iter")
             # Residual balancing keeps the primal and dual errors comparable.
-            primal_res = float(
-                np.sqrt(sum(np.linalg.norm(s - x) ** 2 for s in slots))
-            )
-            dual_res = tau * np.sqrt(n_cons) * float(np.linalg.norm(x - x_at_last_check))
-            x_at_last_check = x.copy()
+            slots -= x
+            primal_res = float(np.linalg.norm(slots))
+            dual_res = tau * np.sqrt(k) * float(np.linalg.norm(x - x_at_last_check))
+            x_at_last_check = x
             if primal_res > 10.0 * dual_res and tau < 1e6:
                 tau *= 2.0
-                duals = [u / 2.0 for u in duals]
+                duals /= 2.0
             elif dual_res > 10.0 * primal_res and tau > 1e-6:
                 tau /= 2.0
-                duals = [u * 2.0 for u in duals]
+                duals *= 2.0
 
-    if best is None:
-        lift = _feasible_lift(problem, x)
-        best = (lift[0], -np.inf, np.inf, lift[1], iterations)
-    primal, dual, gap, x_feas, _ = best
-    return SdpSolution(x_feas, primal, dual, gap, iterations, "max_iter")
+    best.iterations = iterations
+    return best
 
 
 def check_certificate(problem: SdpProblem, solution: SdpSolution, tol: float) -> bool:
     """Re-verify feasibility and the gap bound with fresh eigensolves."""
     x = solution.x_opt
-    for con in problem.constraints:
-        w = np.linalg.eigvalsh(con.apply(x, problem.dims))
-        if w[0] < -FEASIBILITY_TOL:
-            return False
+    if np.linalg.eigvalsh(problem.cones(x))[:, 0].min() < -FEASIBILITY_TOL:
+        return False
     primal = float(np.trace(x).real)
     if abs(primal - solution.primal_value) > max(1e-9, 1e-9 * abs(primal)):
         return False
@@ -182,16 +175,19 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution, tol: float) ->
     return solution.gap <= tol
 
 
-def _certificate_attempt(problem, x, neg_parts, tau):
+def _scaled_outer(v, w):
+    """Stacked V diag(w) V^dagger from stacked eigenvectors and weights."""
+    return (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
+
+
+def _certificate_attempt(problem, x, neg, tau):
     """Build a feasible primal point and a feasible dual point from iterates."""
     primal, x_feas = _feasible_lift(problem, x)
-
-    total = np.zeros_like(x)
-    const = 0.0
-    for con, neg in zip(problem.constraints, neg_parts):
-        z = tau * neg
-        total += con.back(z, problem.dims)
-        const += float(np.trace(z @ con.back(con.offset, problem.dims)).real)
+    neg *= tau
+    pulled = problem.transpose(neg)
+    total = pulled.sum(axis=0)
+    # sum_i Tr(Z_i (offset_i)^{T_i}) = sum_i Tr(Z_i^{T_i} offset_i), one inner product.
+    const = float(np.vdot(problem.offsets, pulled).real)
     # The dual point needs I - theta * total >= 0; take the largest such theta <= 1.
     lam_max = float(np.linalg.eigvalsh(total)[-1])
     theta = 1.0 if lam_max <= 1.0 else 1.0 / lam_max
@@ -200,15 +196,12 @@ def _certificate_attempt(problem, x, neg_parts, tau):
 
 
 def _feasible_lift(problem, x):
-    """Shift x along the identity until every constraint is PSD.
+    """Shift x along the identity until every cone is PSD.
 
     The identity is invariant under partial transposes, so a single shift
-    fixes all constraints at once and gives an exactly feasible point.
+    fixes all cones at once and gives an exactly feasible point.
     """
-    beta = 0.0
-    for con in problem.constraints:
-        w_min = float(np.linalg.eigvalsh(con.apply(x, problem.dims))[0])
-        beta = max(beta, -w_min)
-    x_feas = x + beta * np.eye(x.shape[0])
+    w_min = float(np.linalg.eigvalsh(problem.cones(x))[:, 0].min())
+    x_feas = x + max(0.0, -w_min) * np.eye(x.shape[0])
     primal = float(np.trace(x_feas).real)
     return primal, x_feas

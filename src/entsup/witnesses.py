@@ -13,7 +13,6 @@ from .qstate import (
     Ket,
     RegisterMismatchError,
     SuperposCoeffs,
-    density,
     ghz,
 )
 
@@ -77,8 +76,29 @@ class ProductSearchConfig:
 
 def zero_witness(register) -> Witness:
     """The trivial witness; useful as the optimal witness of a PPT state."""
-    op = HermOp(register, np.zeros((register.size, register.size)))
+    d = register.size
+    op = HermOp.with_spectrum(register, np.zeros((d, d)), np.zeros(d))
     return Witness(op, class_bounds=(0.0, 0.0), cap_identity=True)
+
+
+def _reflection_witness(register, chi: np.ndarray) -> Witness:
+    """Witness I - 2|chi><chi| of a unit vector chi, spectrum {-1} + {+1}^(d - 1).
+
+    The spectrum is attached by construction, so the class check (1, 1) with
+    the W <= I cap costs no eigensolve.
+    """
+    norm_sq = float(np.vdot(chi, chi).real)
+    if abs(norm_sq - 1.0) > 1e-12:
+        raise ValueError(f"reflection vector has squared norm {norm_sq!r}, not 1")
+    d = register.size
+    spectrum = np.ones(d)
+    spectrum[0] = -1.0
+    op = HermOp.with_spectrum(
+        register,
+        np.eye(d, dtype=np.complex128) - 2.0 * np.outer(chi, chi.conj()),
+        spectrum,
+    )
+    return Witness(op, class_bounds=(1.0, 1.0), cap_identity=True)
 
 
 def eval_witness(w: Witness, state: HermOp | Ket) -> float:
@@ -93,7 +113,8 @@ def eval_witness(w: Witness, state: HermOp | Ket) -> float:
             raise RegisterMismatchError(
                 "witness and state live on different registers"
             )
-        val = complex(np.trace(w.op.matrix @ state.matrix))
+        # Both operators are Hermitian, so Tr(W rho) = sum_ij conj(rho_ij) W_ij.
+        val = complex(np.vdot(state.matrix, w.op.matrix))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"witness expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)
@@ -119,12 +140,7 @@ def ghz_witness(n: int, phi: float = 0.0) -> Witness:
     if n < 2:
         raise ValueError(f"GHZ witnesses need at least 2 qubits, got {n}")
     state = ghz(n, phi)
-    proj = density(state)
-    op = HermOp(
-        state.register,
-        np.eye(state.register.size, dtype=np.complex128) - 2.0 * proj.matrix,
-    )
-    return Witness(op, class_bounds=(1.0, 1.0), cap_identity=True)
+    return _reflection_witness(state.register, state.amplitudes)
 
 
 def maxent_cut_witness(psi: Ket, partition: Partition) -> Witness:
@@ -145,11 +161,7 @@ def maxent_cut_witness(psi: Ket, partition: Partition) -> Witness:
             psi.register, partition, avecs[:, 1], bvecs[:, 1]
         )
     ) / math.sqrt(2)
-    proj = np.outer(chi, chi.conj())
-    op = HermOp(
-        psi.register, np.eye(psi.register.size, dtype=np.complex128) - 2.0 * proj
-    )
-    return Witness(op, class_bounds=(1.0, 1.0), cap_identity=True)
+    return _reflection_witness(psi.register, chi)
 
 
 def witness_k(w: Witness) -> float:

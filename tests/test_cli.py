@@ -10,12 +10,13 @@ from entsup.cli import (
     EXIT_INPUT,
     EXIT_OK,
     StateFileError,
+    _best_witness_lower,
     ket_to_state_document,
     load_state_file,
     main,
     parse_state_document,
 )
-from entsup.qstate import Ket, ghz, qubit_register
+from entsup.qstate import Ket, density, ghz, qubit_register
 
 from conftest import random_pure_amplitudes
 
@@ -236,3 +237,33 @@ def test_report_is_json_with_metadata(tmp_path, capsys):
     assert report["command"] == "quantify"
     assert report["version"]
     assert "seed" in report and "duration_s" in report
+
+
+def _w_state_in_local_frame(rng, n):
+    """W_n with a Haar unitary on every qubit and the qubits permuted."""
+    amps = np.zeros(2**n, dtype=complex)
+    amps[[2**q for q in range(n)]] = 1 / math.sqrt(n)
+    t = amps.reshape((2,) * n)
+    for q in range(n):
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        u, r = np.linalg.qr(z)
+        u = u * (np.diag(r) / np.abs(np.diag(r)))
+        t = np.moveaxis(np.tensordot(u, t, axes=([1], [q])), 0, q)
+    t = t.transpose(rng.permutation(n))
+    return Ket(qubit_register(n), np.ascontiguousarray(t).reshape(-1))
+
+
+def test_lower_witness_cut_ties_keep_the_lowest_cut(tmp_path, capsys):
+    # Every single cut of a W state has the same Schmidt coefficients, so the
+    # witness values tie up to rounding and the report must name cut [0].
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 5):
+        for _ in range(8):
+            ket = _w_state_in_local_frame(rng, n)
+            lower, cut = _best_witness_lower(ket, density(ket))
+            assert cut == [0]
+            assert lower == pytest.approx((math.sqrt(1 - 1 / n) + math.sqrt(1 / n)) ** 2 - 1)
+    path = write_state(tmp_path, "w3.json", _w_state_in_local_frame(rng, 3))
+    code, report = run_cli(capsys, "quantify", path, "--quantifier", "robustness")
+    assert code == EXIT_OK
+    assert report["results"]["robustness"]["lower_witness_cut"] == [0]

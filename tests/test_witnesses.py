@@ -22,6 +22,7 @@ from entsup.witnesses import (
     ProductSearchConfig,
     Witness,
     WitnessClassError,
+    _reflection_witness,
     eval_witness,
     ghz_witness,
     interference_term,
@@ -32,7 +33,7 @@ from entsup.witnesses import (
     zero_witness,
 )
 
-from conftest import random_density_matrix, random_pure_amplitudes
+from conftest import random_density_matrix, random_hermitian, random_pure_amplitudes
 from oracles import grid_product_overlap_2q
 
 
@@ -111,6 +112,9 @@ def test_witness_class_validation():
     with pytest.raises(WitnessClassError):
         Witness(HermOp(reg, np.diag([0.3, -0.9])), class_bounds=(0.3, 0.7))
     Witness(HermOp(reg, np.diag([0.3, -0.7])), class_bounds=(0.3, 0.7))
+    # A user-built witness is diagonalised: eigenvalues 1.2 and -0.2 off the diagonal.
+    with pytest.raises(WitnessClassError):
+        Witness(HermOp(reg, np.array([[0.5, 0.7], [0.7, 0.5]])), cap_identity=True)
 
 
 def test_witness_k_examples():
@@ -229,3 +233,38 @@ def test_maxent_cut_witness_values(rng):
     prod = basis_ket(reg, (0, 1))
     wz = maxent_cut_witness(prod, part(0))
     assert np.max(np.abs(wz.op.matrix)) == 0.0
+
+
+def test_constructed_witnesses_carry_their_spectrum(monkeypatch, rng):
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            solves.append(a.shape)
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    psi = Ket(qubit_register(3), random_pure_amplitudes(rng, 8))
+    built = [
+        ghz_witness(3, 0.7),
+        maxent_cut_witness(psi, part(1)),
+        zero_witness(qubit_register(3)),
+    ]
+    spectra = [w.op.eigenvalues() for w in built]
+    assert solves == []  # the class checks read the attached spectra
+    monkeypatch.undo()
+    for w, spec in zip(built, spectra):
+        assert np.allclose(spec, np.linalg.eigvalsh(w.op.matrix), atol=1e-12)
+
+
+def test_reflection_witness_needs_a_unit_vector():
+    with pytest.raises(ValueError, match="squared norm"):
+        _reflection_witness(qubit_register(2), np.array([1.0, 0.0, 0.0, 1e-6]))
+
+
+def test_eval_witness_on_operator_matches_trace(rng):
+    reg = qubit_register(3)
+    for _ in range(5):
+        w = Witness(HermOp(reg, random_hermitian(rng, 8)))
+        rho = HermOp(reg, random_density_matrix(rng, 8))
+        expected = np.trace(w.op.matrix @ rho.matrix).real
+        assert eval_witness(w, rho) == pytest.approx(expected, abs=1e-12)
