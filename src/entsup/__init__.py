@@ -29,7 +29,6 @@ from .qstate import (
     tensor,
 )
 from .quantifiers import (
-    MixingSearch,
     QuantifierConfig,
     RobustnessBounds,
     mix,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -122,23 +123,22 @@ def parse_partitions(specs: list[str] | None, register: Register) -> list[Partit
 
 
 def cmd_quantify(args) -> tuple[dict, int]:
+    tol = args.tolerance
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise StateFileError(f"--tolerance must be finite and positive, got {tol}")
     ket = load_state_file(args.state)
     renormalized_input = False
     if abs(ket.norm() ** 2 - 1.0) > 1e-9:
         ket = ket.normalized()
         renormalized_input = True
     register = ket.register
-    config = QuantifierConfig(
-        kind="negativity" if args.quantifier == "negativity" else "generalized_robustness",
-        partitions=tuple(parse_partitions(args.partition, register)),
-    )
-    parts = config.resolve_partitions(register)
+    parts = parse_partitions(args.partition, register)
     rho = density(ket)
     results: dict = {}
     exit_code = EXIT_OK
 
     if args.quantifier in ("negativity", "all"):
-        profile = quantifiers.pt_profile(rho, parts, config.psd_tol)
+        profile = quantifiers.pt_profile(rho, parts)
         results["negativity"] = [
             {"partition": sorted(p.transposed), "value": value}
             for p, (value, _) in zip(parts, profile)
@@ -159,7 +159,7 @@ def cmd_quantify(args) -> tuple[dict, int]:
         robustness["upper_candidate"] = candidate
         robustness["s_star"] = s_star
         try:
-            robustness["ppt_sdp"] = quantifiers.rg_ppt_sdp(rho, parts, tol=args.tolerance)
+            robustness["ppt_sdp"] = quantifiers.rg_ppt_sdp(rho, parts, tol=tol)
         except sdpcore.SolverFailureError as err:
             robustness["ppt_sdp"] = None
             robustness["ppt_sdp_best"] = err.best_value
@@ -204,11 +204,14 @@ def _best_mixing_upper(rho: HermOp, register: Register):
     """Try preset mixing candidates; prefer certified, then smaller upper."""
     d = register.size
     candidates = []
-    partner = 2.0 * np.diag(np.diag(rho.matrix)) - rho.matrix
-    if float(np.linalg.eigvalsh(partner)[0]) >= -1e-12:
-        candidates.append(("coherence-partner", HermOp(register, partner)))
+    # Spectra are cached on the operators, so the density checks downstream
+    # solve nothing again, and the spectrum of I/d is known.
+    partner = HermOp(register, 2.0 * np.diag(np.diag(rho.matrix)) - rho.matrix)
+    if linops.is_psd(partner, 1e-12):
+        candidates.append(("coherence-partner", partner))
+    maxmix = np.eye(d, dtype=np.complex128) / d
     candidates.append(
-        ("maximally-mixed", HermOp(register, np.eye(d, dtype=np.complex128) / d))
+        ("maximally-mixed", HermOp.with_spectrum(register, maxmix, np.full(d, 1.0 / d)))
     )
     best = (None, None, False, None)
     for name, pi in candidates:
@@ -336,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=supbound.DEFAULT_GAMMA_MODE == "renormalize",
         help="evaluate bounds on the renormalized superposition (default)",
-    )
-    sweep.add_argument(
-        "--threads", type=int, default=1, help="deprecated; accepted and ignored"
     )
     sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

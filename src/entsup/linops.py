@@ -164,20 +164,18 @@ def is_psd(op: HermOp, tol: float = PSD_TOL) -> bool:
     return bool(op.eigenvalues()[0] >= -tol)
 
 
-def check_density(rho: HermOp, tol: float = DENSITY_TOL) -> None:
-    """Raise ValueError unless rho has unit trace and is positive semidefinite."""
-    if abs(rho.trace() - 1.0) > tol:
+def check_density(rho: HermOp) -> None:
+    """Raise ValueError unless rho has unit trace and is PSD, both within DENSITY_TOL."""
+    if abs(rho.trace() - 1.0) > DENSITY_TOL:
         raise ValueError(f"state trace {rho.trace():.12f} is not 1")
-    if not is_psd(rho, tol):
+    if not is_psd(rho, DENSITY_TOL):
         raise ValueError("state is not positive semidefinite")
 
 
-def neg_eigenspace_projector(op: HermOp, tol: float = NEG_EIGENSPACE_TOL) -> HermOp:
-    """Projector onto the span of eigenvectors with eigenvalue < -tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+def neg_eigenspace_projector(op: HermOp) -> HermOp:
+    """Projector onto the span of eigenvectors with eigenvalue < -NEG_EIGENSPACE_TOL."""
     w, v = np.linalg.eigh(op.matrix)
-    cols = v[:, w < -tol]
+    cols = v[:, w < -NEG_EIGENSPACE_TOL]
     return HermOp(op.register, cols @ cols.conj().T)
 
 
@@ -217,13 +215,6 @@ def _split_axes(register: Register, partition: Partition):
     d_a = int(np.prod([register.dims[i] for i in a_axes])) if a_axes else 1
     d_b = int(np.prod([register.dims[i] for i in b_axes])) if b_axes else 1
     return a_axes + b_axes, d_a, d_b
-
-
-def expectation(op: HermOp, psi: Ket) -> complex:
-    """Matrix element <psi|M|psi>."""
-    if op.register != psi.register:
-        raise RegisterMismatchError("operator and ket live on different registers")
-    return complex(np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes))
 
 
 def matrix_element(op: HermOp, bra: Ket, ket: Ket) -> complex:

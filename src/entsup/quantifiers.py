@@ -45,7 +45,6 @@ class QuantifierConfig:
 
     kind: Literal["negativity", "generalized_robustness"] = "negativity"
     partitions: tuple[Partition, ...] | None = None  # None: all single-vs-rest
-    psd_tol: float = linops.PSD_TOL
 
     def resolve_partitions(self, register) -> list[Partition]:
         if self.partitions is None:
@@ -58,29 +57,10 @@ class QuantifierConfig:
         return parts
 
 
-@dataclass(frozen=True)
-class MixingSearch:
-    """Settings for the mixing upper bound.
-
-    Mixing weights are taken from [0, s_max], which defaults to [0, register
-    size]. A weight passes when every off-diagonal entry of the mixture has
-    modulus at most ``certificate_tol``.
-    """
-
-    s_max: float | None = None
-    certificate_tol: float = DIAGONAL_TOL
-
-    def __post_init__(self):
-        if self.s_max is not None and self.s_max <= 0:
-            raise ValueError("mixing weight bound s_max must be positive")
-
-
-def pt_profile(
-    rho: HermOp, partitions: Sequence[Partition], tol: float = linops.PSD_TOL
-) -> list[tuple[float, bool]]:
+def pt_profile(rho: HermOp, partitions: Sequence[Partition]) -> list[tuple[float, bool]]:
     """Negativity and Peres flag per bipartition, from one eigensolve of each rho^{T_A}.
 
-    The flag says whether rho^{T_A} is positive semidefinite within ``tol``.
+    The flag says whether rho^{T_A} is positive semidefinite within ``PSD_TOL``.
     """
     linops.check_density(rho)
     profile = []
@@ -88,7 +68,7 @@ def pt_profile(
         p.validate(rho.register, proper=True)
         rt = linops.partial_transpose(rho, p)
         value = float(np.sum(np.clip(-rt.eigenvalues(), 0.0, None)))
-        profile.append((value, linops.is_psd(rt, tol)))
+        profile.append((value, linops.is_psd(rt, linops.PSD_TOL)))
     return profile
 
 
@@ -106,11 +86,9 @@ def witnessed_entanglement_pure(psi: Ket, w: Witness) -> float:
     return max(0.0, -eval_witness(w, psi))
 
 
-def ppt_check(
-    rho: HermOp, partitions: Sequence[Partition], tol: float = linops.PSD_TOL
-) -> list[bool]:
+def ppt_check(rho: HermOp, partitions: Sequence[Partition]) -> list[bool]:
     """Peres test per bipartition: is rho^{T_A} positive semidefinite?"""
-    return [flag for _, flag in pt_profile(rho, partitions, tol)]
+    return [flag for _, flag in pt_profile(rho, partitions)]
 
 
 def mix(rho: HermOp, pi: HermOp, s: float) -> HermOp:
@@ -122,14 +100,14 @@ def mix(rho: HermOp, pi: HermOp, s: float) -> HermOp:
     return HermOp(rho.register, (rho.matrix + s * pi.matrix) / (1.0 + s))
 
 
-def separability_certificate_diagonal(rho: HermOp, tol: float = DIAGONAL_TOL) -> bool:
-    """True when rho is diagonal in the computational product basis.
+def separability_certificate_diagonal(rho: HermOp) -> bool:
+    """True when no off-diagonal entry of rho exceeds ``DIAGONAL_TOL`` in modulus.
 
     Diagonal states are separable by an explicit convex combination of product
     projectors, so this certificate is sound (but far from complete).
     """
     off = rho.matrix - np.diag(np.diag(rho.matrix))
-    return float(np.max(np.abs(off))) <= tol if off.size else True
+    return float(np.max(np.abs(off))) <= DIAGONAL_TOL if off.size else True
 
 
 def rg_lower_via_witness(rho: HermOp, w: Witness) -> RobustnessBounds:
@@ -142,36 +120,31 @@ def rg_lower_via_witness(rho: HermOp, w: Witness) -> RobustnessBounds:
     return RobustnessBounds(lower=value, witness_used=w)
 
 
-def rg_upper_via_mixing(
-    rho: HermOp, pi: HermOp, search: MixingSearch | None = None
-) -> RobustnessBounds:
+def rg_upper_via_mixing(rho: HermOp, pi: HermOp) -> RobustnessBounds:
     """Smallest mixing weight s making (rho + s*pi)/(1+s) pass the certificate.
 
     Tries, in order: s = 0; the analytic cancellation point where every
     off-diagonal of rho + s*pi vanishes simultaneously (exact for states whose
     coherences are proportional to minus the mixing state's); then the closed
     form left end of the passing set. Every candidate is re-checked against
-    the certificate; when none passes in [0, s_max] the upper bound is unknown.
+    the certificate; when none passes with s at most the register dimension
+    the upper bound is unknown.
     """
     linops.check_density(rho)
     linops.check_density(pi)
     if rho.register != pi.register:
         raise RegisterMismatchError("state and mixing state registers differ")
-    if search is None:
-        search = MixingSearch()
-    s_max = float(search.s_max) if search.s_max is not None else float(rho.register.size)
-    tol = search.certificate_tol
     candidates = (
         lambda: 0.0,
         lambda: _diagonal_cancellation_point(rho, pi),
-        lambda: _passing_set_left_end(rho, pi, tol),
+        lambda: _passing_set_left_end(rho, pi),
     )
     for candidate in candidates:
         s = candidate()
         if (
             s is not None
-            and s <= s_max
-            and separability_certificate_diagonal(mix(rho, pi, s), tol)
+            and s <= rho.register.size
+            and separability_certificate_diagonal(mix(rho, pi, s))
         ):
             return RobustnessBounds(
                 lower=0.0, upper=s, certified_upper=True, mixing_state_used=pi, s_star=s
@@ -179,12 +152,7 @@ def rg_upper_via_mixing(
     return RobustnessBounds(lower=0.0, upper=None, mixing_state_used=pi)
 
 
-def rg_ppt_sdp(
-    rho: HermOp,
-    partitions: Sequence[Partition],
-    tol: float | None = None,
-    max_iter: int = 200_000,
-) -> float:
+def rg_ppt_sdp(rho: HermOp, partitions: Sequence[Partition], tol: float | None = None) -> float:
     """PPT-relaxed robustness: min Tr(X), X >= 0, (rho + X)^{T_A} >= 0 per cut.
 
     The PPT set contains the separable set, so the optimum lower-bounds the
@@ -196,7 +164,7 @@ def rg_ppt_sdp(
     linops.check_density(rho)
     if tol is None:
         tol = sdpcore.default_tolerance(problem.variable_dim)
-    solution = sdpcore.solve(problem, tol=tol, max_iter=max_iter)
+    solution = sdpcore.solve(problem, tol=tol)
     if solution.status != "optimal":
         raise sdpcore.SolverFailureError(
             f"robustness SDP stopped with status {solution.status!r}",
@@ -231,8 +199,8 @@ def _diagonal_cancellation_point(rho: HermOp, pi: HermOp) -> float | None:
     return float(s.real)
 
 
-def _passing_set_left_end(rho: HermOp, pi: HermOp, tol: float) -> float | None:
-    """Smallest s >= 0 with |r_ij + s*p_ij| <= tol*(1 + s) for every i != j.
+def _passing_set_left_end(rho: HermOp, pi: HermOp) -> float | None:
+    """Smallest s >= 0 with |r_ij + s*p_ij| <= tol*(1 + s), tol = DIAGONAL_TOL, all i != j.
 
     Each condition is convex in s, so the passing set is an interval and its
     left end is the largest per-entry left end: 0 where the entry passes at
@@ -246,7 +214,7 @@ def _passing_set_left_end(rho: HermOp, pi: HermOp, tol: float) -> float | None:
     upper = np.triu_indices(rho.register.size, k=1)
     r = rho.matrix[upper]
     p = pi.matrix[upper]
-    t2 = (tol * (1.0 - 1e-12)) ** 2
+    t2 = (DIAGONAL_TOL * (1.0 - 1e-12)) ** 2
     a = np.abs(p) ** 2 - t2
     b = (r.conj() * p).real - t2
     c = np.abs(r) ** 2 - t2

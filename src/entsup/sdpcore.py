@@ -113,8 +113,8 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = 200_000
     Deterministic for fixed inputs. Hitting ``max_iter`` returns the best
     certified iterate with status ``max_iter``.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"need at least one iteration, got max_iter={max_iter}")
     d = problem.variable_dim

@@ -18,6 +18,9 @@ from .qstate import (
 
 SPECTRUM_TOL = 1e-9
 DEFAULT_SEED = 42
+# See-saw limits: sweeps per restart, and the smallest gain that continues one.
+SEESAW_MAX_ITERATIONS = 300
+SEESAW_CONVERGENCE_TOL = 1e-12
 
 
 class WitnessClassError(ValueError):
@@ -63,15 +66,11 @@ class ProductSearchConfig:
     """Settings for the see-saw search over fully product states."""
 
     restarts: int = 32
-    max_iterations: int = 300
     seed: int = DEFAULT_SEED
-    convergence_tol: float = 1e-12
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("need at least one restart")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence tolerance must be positive")
 
 
 def zero_witness(register) -> Witness:
@@ -107,7 +106,7 @@ def eval_witness(w: Witness, state: HermOp | Ket) -> float:
     The imaginary residue of the trace must stay below 1e-10 and is dropped.
     """
     if isinstance(state, Ket):
-        val = linops.expectation(w.op, state)
+        val = linops.matrix_element(w.op, state, state)
     else:
         if state.register != w.op.register:
             raise RegisterMismatchError(
@@ -210,7 +209,7 @@ def max_product_overlap(
         rng = np.random.default_rng(config.seed + restart)
         sites = [_random_unit(rng, d) for d in dims]
         value = _product_expectation(tens, sites, n)
-        for _ in range(config.max_iterations):
+        for _ in range(SEESAW_MAX_ITERATIONS):
             previous = value
             for j in range(n):
                 m = _effective_site_matrix(tens, sites, n, j)
@@ -224,7 +223,7 @@ def max_product_overlap(
                 value = float(
                     np.real(np.vdot(sites[j], m @ sites[j]))
                 )
-            if value - previous <= config.convergence_tol:
+            if value - previous <= SEESAW_CONVERGENCE_TOL:
                 break
         best = max(best, value)
     return best

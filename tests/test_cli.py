@@ -5,18 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entsup.cli import (
     EXIT_INPUT,
     EXIT_OK,
     StateFileError,
+    _best_mixing_upper,
     _best_witness_lower,
     ket_to_state_document,
     load_state_file,
     main,
     parse_state_document,
 )
-from entsup.qstate import Ket, density, ghz, qubit_register
+from entsup.qstate import Ket, Register, density, ghz, qubit_register
 
 from conftest import random_pure_amplitudes
 
@@ -120,19 +123,25 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
 
 def test_sweep_usage_error(capsys):
     assert main(["sweep", "--samples", "0"]) == EXIT_INPUT
+    assert main(["sweep", "--samples", "5", "--threads", "4"]) == EXIT_INPUT  # flag removed
     capsys.readouterr()
 
 
-def test_sweep_threads_do_not_change_results(tmp_path, capsys):
-    plain = tmp_path / "plain.csv"
-    threaded = tmp_path / "threaded.csv"
-    run_cli(capsys, "sweep", "--samples", "20", "--seed", "3", "--csv", str(plain))
-    run_cli(
-        capsys,
-        "sweep", "--samples", "20", "--seed", "3",
-        "--threads", "4", "--csv", str(threaded),
-    )
-    assert plain.read_bytes() == threaded.read_bytes()
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_quantify_rejects_bad_tolerance(tmp_path, capsys, monkeypatch, value):
+    import entsup.cli as cli_mod
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the SDP ran on a rejected tolerance")
+
+    monkeypatch.setattr(cli_mod.quantifiers, "rg_ppt_sdp", unreachable)
+    path = write_state(tmp_path, "bell.json", ghz(2, 0.0))
+    for quantifier in ("negativity", "all"):
+        code = main(["quantify", path, "--quantifier", quantifier, "--tolerance", value])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert "--tolerance" in json.loads(captured.err)["error"]
 
 
 def test_sweep_violation_exit_code(monkeypatch, capsys):
@@ -163,6 +172,30 @@ def test_quantify_solver_failure_partial_results(tmp_path, monkeypatch, capsys):
     assert rob["ppt_sdp"] is None
     assert rob["ppt_sdp_best"] == 0.97
     assert rob["lower"] == pytest.approx(1.0, abs=1e-9)  # partial results intact
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_edge = st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
+
+
+@st.composite
+def _kets(draw):
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=4)))
+    reg = Register(dims)
+    parts = st.one_of(_finite, _edge)
+    pairs = draw(st.lists(st.tuples(parts, parts), min_size=reg.size, max_size=reg.size))
+    amps = np.array([complex(re, im) for re, im in pairs])
+    assume(np.any(amps))
+    return Ket(reg, amps)
+
+
+@given(ket=_kets())
+@settings(max_examples=200, deadline=None)
+def test_state_document_round_trip_is_identity(ket):
+    doc = json.loads(json.dumps(ket_to_state_document(ket)))
+    back = parse_state_document(doc)
+    assert back.register == ket.register
+    assert back.amplitudes.tobytes() == ket.amplitudes.tobytes()  # -0.0 kept too
 
 
 def test_state_round_trip(tmp_path, rng):
@@ -267,3 +300,23 @@ def test_lower_witness_cut_ties_keep_the_lowest_cut(tmp_path, capsys):
     code, report = run_cli(capsys, "quantify", path, "--quantifier", "robustness")
     assert code == EXIT_OK
     assert report["results"]["robustness"]["lower_witness_cut"] == [0]
+
+
+def test_best_mixing_upper_solves_one_spectrum(monkeypatch, rng):
+    # Only the coherence partner is diagonalised: rho = |psi><psi| and I/d carry
+    # their spectra, and the partner's is cached for its density check.
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            solves.append(a.shape)
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    ghz3 = ghz(3, 0.4)
+    random3 = Ket(qubit_register(3), random_pure_amplitudes(rng, 8))
+    for ket, expected in ((ghz3, (1.0, "coherence-partner", True, 1.0)), (random3, None)):
+        solves.clear()
+        best = _best_mixing_upper(density(ket), ket.register)
+        assert solves == [(8, 8)]
+        if expected is not None:
+            assert best == expected

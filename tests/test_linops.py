@@ -186,7 +186,7 @@ def test_neg_eigenspace_projector_properties(rng):
     tol = 1e-9
     for _ in range(5):
         m = HermOp(reg, random_hermitian(rng, 8))
-        p = neg_eigenspace_projector(m, tol).matrix
+        p = neg_eigenspace_projector(m).matrix
         assert np.max(np.abs(p @ p - p)) <= 1e-10
         pinched = p @ m.matrix @ p
         assert np.max(np.linalg.eigvalsh((pinched + pinched.conj().T) / 2)) <= tol

@@ -9,7 +9,6 @@ from entsup.linops import HermOp, part, single_cut_partitions
 from entsup.qstate import Ket, basis_ket, density, ghz, qubit_register
 from entsup.quantifiers import (
     DIAGONAL_TOL,
-    MixingSearch,
     QuantifierConfig,
     RobustnessBounds,
     mix,
@@ -85,7 +84,7 @@ def test_negativity_zero_iff_ppt(rng):
             rho = HermOp(reg, np.diag(probs.astype(complex)))
         for cut in single_cut_partitions(reg):
             n_val = negativity(rho, cut)
-            ppt = ppt_check(rho, [cut], tol)[0]
+            ppt = ppt_check(rho, [cut])[0]
             assert (n_val <= tol) == ppt
 
 
@@ -227,7 +226,13 @@ def test_rg_upper_closed_form_special_cases():
     assert s == pytest.approx(4.0, abs=1e-9)
     previous, first = diagonal_mixing_scan(rho.matrix, maxmix.matrix, DIAGONAL_TOL, 8.0)
     assert previous < s <= first
-    assert rg_upper_via_mixing(rho, maxmix, MixingSearch(s_max=3.9)).upper is None
+    # Weights are capped at the register dimension: 1e-9 coherences pass only
+    # from s = 9 > d = 8 on.
+    weak = np.full((d, d), 1e-9, dtype=complex)
+    np.fill_diagonal(weak, 1.0 / d)
+    assert rg_upper_via_mixing(HermOp(reg, weak), maxmix).upper is None
+    _, first = diagonal_mixing_scan(weak, maxmix.matrix, DIAGONAL_TOL, 10.0)
+    assert first == pytest.approx(9.0, abs=1e-3)
 
     bell = density(ghz(2, 0.3))
     assert rg_upper_via_mixing(bell, bell).upper is None

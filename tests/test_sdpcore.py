@@ -204,6 +204,12 @@ def test_max_iter_must_be_positive():
         solve(bell_problem(), max_iter=0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        solve(bell_problem(), tol=tol)
+
+
 def test_dimension_limit_is_checked_before_building():
     rho = density(ghz(9, 0.0))
     with pytest.raises(ValueError, match="limited to dimension 256"):
