@@ -3,11 +3,8 @@
 __version__ = "0.1.0"
 
 from .linops import (
-    EigDecomp,
     HermOp,
     Partition,
-    eig_hermitian,
-    identity,
     is_psd,
     neg_eigenspace_projector,
     operator_norm,
@@ -36,6 +33,7 @@ from .quantifiers import (
     ppt_check,
     rg_lower_via_witness,
     rg_ppt_sdp,
+    rg_upper_pure,
     rg_upper_via_mixing,
     separability_certificate_diagonal,
     witnessed_entanglement_pure,

@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 2 input error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -50,9 +51,12 @@ def load_state_file(path: str) -> Ket:
 def parse_state_document(doc: dict, where: str = "<state>") -> Ket:
     if not isinstance(doc, dict) or "dims" not in doc or "amplitudes" not in doc:
         raise StateFileError(f"{where}: expected an object with dims and amplitudes")
+    dims = doc["dims"]
+    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+        raise StateFileError(f"{where}: dims must be a list of integers, got {dims!r}")
     try:
-        register = Register(tuple(int(d) for d in doc["dims"]))
-    except (TypeError, ValueError) as err:
+        register = Register(tuple(dims))
+    except ValueError as err:
         raise StateFileError(f"{where}: dims: {err}") from err
     entries = doc["amplitudes"]
     if not isinstance(entries, list) or not entries:
@@ -63,8 +67,8 @@ def parse_state_document(doc: dict, where: str = "<state>") -> Ket:
         for pos, entry in enumerate(entries):
             try:
                 basis = str(entry["basis"])
-                re, im = entry["amp"]
-            except (KeyError, TypeError, ValueError) as err:
+                pair = entry["amp"]
+            except (KeyError, TypeError) as err:
                 raise StateFileError(
                     f"{where}: amplitudes[{pos}]: need basis and amp [re, im]"
                 ) from err
@@ -80,7 +84,7 @@ def parse_state_document(doc: dict, where: str = "<state>") -> Ket:
                     f"amplitudes[{seen[flat]}]"
                 )
             seen[flat] = pos
-            amp[flat] = complex(float(re), float(im))
+            amp[flat] = _amplitude(pair, where, pos)
     else:
         if len(entries) != register.size:
             raise StateFileError(
@@ -88,16 +92,25 @@ def parse_state_document(doc: dict, where: str = "<state>") -> Ket:
                 f"got {len(entries)}"
             )
         for pos, entry in enumerate(entries):
-            try:
-                re, im = entry
-            except (TypeError, ValueError) as err:
-                raise StateFileError(
-                    f"{where}: amplitudes[{pos}]: need an [re, im] pair"
-                ) from err
-            amp[pos] = complex(float(re), float(im))
+            amp[pos] = _amplitude(entry, where, pos)
     if not np.any(amp):
         raise StateFileError(f"{where}: all amplitudes vanish")
     return Ket(register, amp)
+
+
+def _amplitude(pair, where: str, pos: int) -> complex:
+    """One [re, im] entry as a finite complex number; errors name its position."""
+    try:
+        re, im = pair
+        value = complex(float(re), float(im))
+        if not cmath.isfinite(value):
+            raise ValueError("not finite")
+    except (TypeError, ValueError, OverflowError) as err:
+        raise StateFileError(
+            f"{where}: amplitudes[{pos}]: need an [re, im] pair of finite numbers, "
+            f"got {pair!r}"
+        ) from err
+    return value
 
 
 def ket_to_state_document(ket: Ket) -> dict:
@@ -108,17 +121,16 @@ def ket_to_state_document(ket: Ket) -> dict:
 
 
 def parse_partitions(specs: list[str] | None, register: Register) -> list[Partition]:
-    if not specs:
-        return linops.single_cut_partitions(register)
+    """Explicit cuts, or every single cut; each must be a proper nonempty subset."""
     parts = []
-    for spec in specs:
+    for spec in specs or []:
         try:
-            indices = frozenset(int(tok) for tok in spec.split(",") if tok != "")
+            parts.append(Partition(frozenset(int(tok) for tok in spec.split(",") if tok != "")))
         except ValueError as err:
             raise StateFileError(f"bad partition {spec!r}: {err}") from err
-        p = Partition(indices)
+    parts = parts or linops.single_cut_partitions(register)
+    for p in parts:
         p.validate(register, proper=True)
-        parts.append(p)
     return parts
 
 
@@ -131,8 +143,7 @@ def cmd_quantify(args) -> tuple[dict, int]:
     if abs(ket.norm() ** 2 - 1.0) > 1e-9:
         ket = ket.normalized()
         renormalized_input = True
-    register = ket.register
-    parts = parse_partitions(args.partition, register)
+    parts = parse_partitions(args.partition, ket.register)
     rho = density(ket)
     results: dict = {}
     exit_code = EXIT_OK
@@ -153,11 +164,11 @@ def cmd_quantify(args) -> tuple[dict, int]:
         lower, witness_cut = _best_witness_lower(ket, rho)
         robustness["lower"] = lower
         robustness["lower_witness_cut"] = witness_cut
-        upper, candidate, certified, s_star = _best_mixing_upper(rho, register)
+        upper, basis = quantifiers.rg_upper_pure(ket)
         robustness["upper"] = upper
-        robustness["upper_certified"] = certified
-        robustness["upper_candidate"] = candidate
-        robustness["s_star"] = s_star
+        robustness["upper_certified"] = True
+        robustness["upper_candidate"] = basis
+        robustness["s_star"] = upper
         try:
             robustness["ppt_sdp"] = quantifiers.rg_ppt_sdp(rho, parts, tol=tol)
         except sdpcore.SolverFailureError as err:
@@ -187,8 +198,6 @@ def _best_witness_lower(ket: Ket, rho: HermOp):
     """
     best = 0.0
     best_cut = None
-    if ket.register.nsub < 2:
-        return best, best_cut
     for cut in linops.single_cut_partitions(ket.register):
         w = witnesses.maxent_cut_witness(ket, cut)
         lower = quantifiers.rg_lower_via_witness(rho, w).lower
@@ -198,30 +207,6 @@ def _best_witness_lower(ket: Ket, rho: HermOp):
             best = lower
             best_cut = sorted(cut.transposed)
     return best, best_cut
-
-
-def _best_mixing_upper(rho: HermOp, register: Register):
-    """Try preset mixing candidates; prefer certified, then smaller upper."""
-    d = register.size
-    candidates = []
-    # Spectra are cached on the operators, so the density checks downstream
-    # solve nothing again, and the spectrum of I/d is known.
-    partner = HermOp(register, 2.0 * np.diag(np.diag(rho.matrix)) - rho.matrix)
-    if linops.is_psd(partner, 1e-12):
-        candidates.append(("coherence-partner", partner))
-    maxmix = np.eye(d, dtype=np.complex128) / d
-    candidates.append(
-        ("maximally-mixed", HermOp.with_spectrum(register, maxmix, np.full(d, 1.0 / d)))
-    )
-    best = (None, None, False, None)
-    for name, pi in candidates:
-        bounds = quantifiers.rg_upper_via_mixing(rho, pi)
-        if bounds.upper is None:
-            continue
-        current = best[0]
-        if current is None or bounds.upper < current:
-            best = (bounds.upper, name, bounds.certified_upper, bounds.s_star)
-    return best
 
 
 def cmd_ghz_saturation(args) -> tuple[dict, int]:

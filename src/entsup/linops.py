@@ -112,18 +112,6 @@ def single_cut_partitions(register: Register) -> list[Partition]:
     return [Partition(frozenset({i})) for i in range(register.nsub)]
 
 
-@dataclass(frozen=True, eq=False)
-class EigDecomp:
-    """Ascending eigenvalues with matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def identity(register: Register) -> HermOp:
-    return HermOp(register, np.eye(register.size, dtype=np.complex128))
-
-
 def partial_transpose(op: HermOp, partition: Partition) -> HermOp:
     """Transpose the subsystems in ``partition``, leaving the rest alone."""
     partition.validate(op.register)
@@ -144,12 +132,6 @@ def _transpose_subsystems(matrix: np.ndarray, dims, transposed) -> np.ndarray:
     for i in transposed:
         axes[i], axes[n + i] = axes[n + i], axes[i]
     return tens.transpose(axes).reshape(d, d)
-
-
-def eig_hermitian(op: HermOp) -> EigDecomp:
-    """Full eigendecomposition; eigenvalues ascend, eigenvectors are orthonormal."""
-    w, v = np.linalg.eigh(op.matrix)
-    return EigDecomp(w, v)
 
 
 def operator_norm(op: HermOp) -> float:

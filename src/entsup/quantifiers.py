@@ -27,7 +27,6 @@ class RobustnessBounds:
     upper: float | None = None
     certified_upper: bool = False
     witness_used: Witness | None = None
-    mixing_state_used: HermOp | None = None
     s_star: float | None = None
 
     def __post_init__(self):
@@ -123,33 +122,50 @@ def rg_lower_via_witness(rho: HermOp, w: Witness) -> RobustnessBounds:
 def rg_upper_via_mixing(rho: HermOp, pi: HermOp) -> RobustnessBounds:
     """Smallest mixing weight s making (rho + s*pi)/(1+s) pass the certificate.
 
-    Tries, in order: s = 0; the analytic cancellation point where every
+    Tries, in order: s = 0, then the analytic cancellation point where every
     off-diagonal of rho + s*pi vanishes simultaneously (exact for states whose
-    coherences are proportional to minus the mixing state's); then the closed
-    form left end of the passing set. Every candidate is re-checked against
-    the certificate; when none passes with s at most the register dimension
-    the upper bound is unknown.
+    coherences are proportional to minus the mixing state's). Every candidate
+    is re-checked against the certificate; when none passes with s at most
+    the register dimension the upper bound is unknown.
     """
     linops.check_density(rho)
     linops.check_density(pi)
     if rho.register != pi.register:
         raise RegisterMismatchError("state and mixing state registers differ")
-    candidates = (
-        lambda: 0.0,
-        lambda: _diagonal_cancellation_point(rho, pi),
-        lambda: _passing_set_left_end(rho, pi),
-    )
-    for candidate in candidates:
-        s = candidate()
+    for s in (0.0, _diagonal_cancellation_point(rho, pi)):
         if (
             s is not None
             and s <= rho.register.size
             and separability_certificate_diagonal(mix(rho, pi, s))
         ):
-            return RobustnessBounds(
-                lower=0.0, upper=s, certified_upper=True, mixing_state_used=pi, s_star=s
-            )
-    return RobustnessBounds(lower=0.0, upper=None, mixing_state_used=pi)
+            return RobustnessBounds(lower=0.0, upper=s, certified_upper=True, s_star=s)
+    return RobustnessBounds(lower=0.0, upper=None)
+
+
+def rg_upper_pure(psi: Ket) -> tuple[float, str]:
+    """Certified robustness upper bound of a pure state, and the basis that gave it.
+
+    Write psi = sum_i c_i |i> in a local product basis. By Cauchy-Schwarz the
+    diagonal, hence separable, D = ||c||_1 diag(|c_i|) dominates |psi><psi|,
+    so R_g(psi) <= ||c||_1^2 / ||c||_2^2 - 1. Two bases are tried: the
+    computational one ("l1-computational") and the eigenbasis of every site's
+    reduced density ("l1-local"; on two parties that is the Schmidt basis,
+    where the bound is exact). The smaller bound wins, the computational
+    basis on a tie. One d_i x d_i eigensolve per site; no d x d matrix.
+    """
+    dims = psi.register.dims
+    local = psi.amplitudes.reshape(dims)
+    for site, dim in enumerate(dims):
+        # Rotating the other sites leaves this site's reduced density unchanged.
+        m = np.moveaxis(local, site, 0).reshape(dim, -1)
+        _, u = np.linalg.eigh(m @ m.conj().T)
+        local = np.moveaxis(np.tensordot(u.conj().T, local, axes=([1], [site])), 0, site)
+    best = (np.inf, "")
+    for basis, c in (("l1-computational", psi.amplitudes), ("l1-local", local)):
+        bound = max(0.0, float(np.sum(np.abs(c)) ** 2 / np.vdot(c, c).real - 1.0))
+        if bound < best[0]:
+            best = (bound, basis)
+    return best
 
 
 def rg_ppt_sdp(rho: HermOp, partitions: Sequence[Partition], tol: float | None = None) -> float:
@@ -197,32 +213,3 @@ def _diagonal_cancellation_point(rho: HermOp, pi: HermOp) -> float | None:
     if dead.any():
         return None
     return float(s.real)
-
-
-def _passing_set_left_end(rho: HermOp, pi: HermOp) -> float | None:
-    """Smallest s >= 0 with |r_ij + s*p_ij| <= tol*(1 + s), tol = DIAGONAL_TOL, all i != j.
-
-    Each condition is convex in s, so the passing set is an interval and its
-    left end is the largest per-entry left end: 0 where the entry passes at
-    s = 0, else the smaller root of |r + s p|^2 = tol^2 (1 + s)^2, written as
-    c / (sqrt(disc) - b) to avoid cancellation. None when some entry never
-    passes. The returned point may still lie past the right end of another
-    entry's interval; the caller's re-check catches that. The target is
-    shrunk by a relative 1e-12 so that rounding in the re-check cannot push
-    the returned point just outside the set.
-    """
-    upper = np.triu_indices(rho.register.size, k=1)
-    r = rho.matrix[upper]
-    p = pi.matrix[upper]
-    t2 = (DIAGONAL_TOL * (1.0 - 1e-12)) ** 2
-    a = np.abs(p) ** 2 - t2
-    b = (r.conj() * p).real - t2
-    c = np.abs(r) ** 2 - t2
-    disc = b * b - a * c
-    denom = np.sqrt(np.clip(disc, 0.0, None)) - b
-    failing = c > 0
-    if np.any(failing & ((disc < 0) | (denom <= 0))):
-        return None
-    if not failing.any():
-        return 0.0
-    return float(np.max(c[failing] / denom[failing]))

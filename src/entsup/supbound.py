@@ -22,7 +22,7 @@ from .qstate import (
     qubit_register,
     superpose,
 )
-from .quantifiers import QuantifierConfig, rg_lower_via_witness, rg_upper_via_mixing
+from .quantifiers import QuantifierConfig, rg_lower_via_witness, rg_upper_pure
 from .witnesses import (
     DEFAULT_SEED,
     Witness,
@@ -101,11 +101,7 @@ def rhs_from_witness_norm(
 ) -> float:
     """Bound |a|^2 e_psi + |b|^2 e_phi + 2|a||b| * witness_norm."""
     _check_nonnegative(e_psi=e_psi, e_phi=e_phi, witness_norm=witness_norm)
-    return (
-        abs(coeffs.a) ** 2 * e_psi
-        + abs(coeffs.b) ** 2 * e_phi
-        + 2.0 * coeffs.abs_product * witness_norm
-    )
+    return sum(_rhs_terms(coeffs, e_psi, e_phi, witness_norm))
 
 
 def rhs_from_witness_class(
@@ -113,11 +109,12 @@ def rhs_from_witness_class(
 ) -> float:
     """Bound |a|^2 e_psi + |b|^2 e_phi + 2 k |a||b| for a spectral class k."""
     _check_nonnegative(e_psi=e_psi, e_phi=e_phi, k=k)
-    return (
-        abs(coeffs.a) ** 2 * e_psi
-        + abs(coeffs.b) ** 2 * e_phi
-        + 2.0 * k * coeffs.abs_product
-    )
+    return sum(_rhs_terms(coeffs, e_psi, e_phi, k))
+
+
+def _rhs_terms(coeffs: SuperposCoeffs, e_psi: float, e_phi: float, k: float):
+    """The three terms |a|^2 e_psi, |b|^2 e_phi and 2|a||b| k of every bound."""
+    return abs(coeffs.a) ** 2 * e_psi, abs(coeffs.b) ** 2 * e_phi, 2.0 * coeffs.abs_product * k
 
 
 def check_bound_negativity(
@@ -140,20 +137,21 @@ def check_bound_negativity(
     gamma_norm = gamma_raw.norm() ** 2
     if gamma_norm < 1e-12:
         lhs = 0.0
-        cross = 0.0
+        w_norm = 0.0
     else:
         gamma_hat = gamma_raw.normalized()
         w_opt = witnesses.negativity_optimal_witness(density(gamma_hat), partition)
         lhs_hat = quantifiers.witnessed_entanglement_pure(gamma_hat, w_opt)
         lhs = lhs_hat if mode == "renormalize" else gamma_norm * lhs_hat
-        cross = 2.0 * coeffs.abs_product * linops.operator_norm(w_opt.op)
-    term_psi = abs(coeffs.a) ** 2 * quantifiers.negativity(density(psi), partition)
-    term_phi = abs(coeffs.b) ** 2 * quantifiers.negativity(density(phi), partition)
+        w_norm = linops.operator_norm(w_opt.op)
     return _make_report(
         lhs,
-        term_psi,
-        term_phi,
-        cross,
+        _rhs_terms(
+            coeffs,
+            quantifiers.negativity(density(psi), partition),
+            quantifiers.negativity(density(phi), partition),
+            w_norm,
+        ),
         "witness-norm",
         gamma_norm,
         instance=lambda: _instance_payload(
@@ -177,9 +175,7 @@ def check_bound_k(
     gamma_norm = superpose(coeffs, psi, phi, mode="raw").norm() ** 2
     return _make_report(
         e_gamma,
-        abs(coeffs.a) ** 2 * e_psi,
-        abs(coeffs.b) ** 2 * e_phi,
-        2.0 * k * coeffs.abs_product,
+        _rhs_terms(coeffs, e_psi, e_phi, k),
         "witness-class",
         gamma_norm,
         instance=lambda: _instance_payload(psi, phi, coeffs, k=k),
@@ -191,7 +187,7 @@ def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
 
     The superposition of |0...0> and |1...1> with balanced coefficients is the
     GHZ state; its robustness is pinned by the witness lower bound against the
-    certified mixing upper bound (both 1), the branch terms vanish because the
+    certified l1 upper bound (both 1), the branch terms vanish because the
     branches are product states, and the class constant is 1, so the bound
     holds with equality.
     """
@@ -204,36 +200,27 @@ def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
         1 / math.sqrt(2), cmath.exp(1j * phi) / math.sqrt(2)
     )
 
-    rho = density(ghz(n, phi))
+    gamma = ghz(n, phi)
     w = ghz_witness(n, phi)
-    lower = rg_lower_via_witness(rho, w)
-    upper = rg_upper_via_mixing(rho, density(ghz(n, phi, orthogonal=True)))
-    if upper.upper is None or not upper.certified_upper:
+    lower = rg_lower_via_witness(density(gamma), w).lower
+    upper, _ = rg_upper_pure(gamma)
+    if abs(upper - lower) > SATURATION_TOL:
         raise SaturationFailureError(
-            "mixing search found no certified separable point",
-            lower=lower.lower,
-            upper=upper.upper,
-        )
-    if abs(upper.upper - lower.lower) > SATURATION_TOL:
-        raise SaturationFailureError(
-            f"robustness bounds do not meet: lower {lower.lower!r}, "
-            f"upper {upper.upper!r}",
-            lower=lower.lower,
-            upper=upper.upper,
+            f"robustness bounds do not meet: lower {lower!r}, upper {upper!r}",
+            lower=lower,
+            upper=upper,
         )
 
     for branch in (branch_zero, branch_one):
         if not quantifiers.separability_certificate_diagonal(density(branch)):
             raise SaturationFailureError("product branch failed its separability check")
 
-    report = check_bound_k(
-        branch_zero, branch_one, coeffs, w, 0.0, 0.0, lower.lower
-    )
+    report = check_bound_k(branch_zero, branch_one, coeffs, w, 0.0, 0.0, lower)
     if not report.saturated:
         raise SaturationFailureError(
             f"saturation gap {report.gap!r} exceeds {SATURATION_TOL}",
-            lower=lower.lower,
-            upper=upper.upper,
+            lower=lower,
+            upper=upper,
         )
     return report
 
@@ -334,8 +321,9 @@ def _random_ket(rng, register: Register) -> Ket:
     return Ket(register, v / np.linalg.norm(v))
 
 
-def _make_report(lhs, term_psi, term_phi, cross, kind, gamma_norm, instance):
+def _make_report(lhs, terms, kind, gamma_norm, instance):
     """Assemble the report; ``instance()`` builds the payload only on a violation."""
+    term_psi, term_phi, cross = terms
     rhs = term_psi + term_phi + cross
     gap = rhs - lhs
     if gap < -VIOLATION_TOL:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from entsup.cli import (
     EXIT_INPUT,
     EXIT_OK,
     StateFileError,
-    _best_mixing_upper,
     _best_witness_lower,
     ket_to_state_document,
     load_state_file,
@@ -28,6 +28,18 @@ def write_state(tmp_path, name, ket):
     path = tmp_path / name
     path.write_text(json.dumps(ket_to_state_document(ket)))
     return str(path)
+
+
+def count_solves(monkeypatch):
+    """Record the argument shape of every later eigh and eigvalsh call."""
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            solves.append(a.shape)
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return solves
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +95,23 @@ def test_quantify_malformed_file(tmp_path, capsys):
     assert main(["quantify", str(path)]) == EXIT_INPUT
     path.write_text("{not json")
     assert main(["quantify", str(path)]) == EXIT_INPUT
+    capsys.readouterr()
+    dense = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    bad_docs = [
+        ('{"dims": [2.7, 2], "amplitudes": %s}' % json.dumps(dense), "dims"),
+        ('{"dims": "22", "amplitudes": %s}' % json.dumps(dense), "dims"),
+        ('{"dims": [2, 2], "amplitudes": [["a", 0], [0, 0], [0, 0], [0, 0]]}',
+         r"amplitudes\[0\]"),
+        ('{"dims": [2, 2], "amplitudes": [[1, 0], [NaN, 0], [0, 0], [0, 0]]}',
+         r"amplitudes\[1\]"),
+        ('{"dims": [2, 2], "amplitudes": [{"basis": "00", "amp": [1, 0]}, '
+         '{"basis": "11", "amp": ["a", 0]}]}', r"amplitudes\[1\]"),
+    ]
+    for text, location in bad_docs:
+        path.write_text(text)
+        assert main(["quantify", str(path)]) == EXIT_INPUT
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert re.match(rf"{re.escape(str(path))}: {location}", error), error
 
 
 def test_ghz_saturation_command(capsys):
@@ -232,6 +261,17 @@ def test_sparse_state_document_errors(tmp_path):
         )
     with pytest.raises(ValueError):
         parse_state_document({"dims": [2], "amplitudes": [[0.0, 0.0], [0.0, 0.0]]})
+    for dims in ([2.7, 2], "22", [2, True]):
+        with pytest.raises(StateFileError, match=r"^s\.json: dims must be a list of integers"):
+            parse_state_document({"dims": dims, "amplitudes": [[1, 0]] * 4}, where="s.json")
+    for bad in (["a", 0], [float("nan"), 0], [0, float("inf")], [1], None):
+        for doc in (
+            {"dims": [2], "amplitudes": [[0.6, 0.0], bad]},
+            {"dims": [2], "amplitudes": [{"basis": "0", "amp": [0.6, 0]},
+                                         {"basis": "1", "amp": bad}]},
+        ):
+            with pytest.raises(StateFileError, match=r"^s\.json: amplitudes\[1\]: "):
+                parse_state_document(doc, where="s.json")
     for second in ("0x", "00"):  # a non-digit label, then a repeated label
         doc = {
             "dims": [2, 2],
@@ -251,13 +291,7 @@ def test_quantify_negativity_solves_each_cut_once(tmp_path, capsys, monkeypatch,
     path = write_state(
         tmp_path, "q3.json", Ket(qubit_register(3), random_pure_amplitudes(rng, 8))
     )
-    solves = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
-            solves.append(a.shape)
-            return _solve(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    solves = count_solves(monkeypatch)
     code, _ = run_cli(capsys, "quantify", path, "--quantifier", "negativity")
     assert code == EXIT_OK
     assert solves == [(8, 8)] * 3  # one partial-transpose spectrum per cut
@@ -302,21 +336,50 @@ def test_lower_witness_cut_ties_keep_the_lowest_cut(tmp_path, capsys):
     assert report["results"]["robustness"]["lower_witness_cut"] == [0]
 
 
-def test_best_mixing_upper_solves_one_spectrum(monkeypatch, rng):
-    # Only the coherence partner is diagonalised: rho = |psi><psi| and I/d carry
-    # their spectra, and the partner's is cached for its density check.
-    solves = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
-            solves.append(a.shape)
-            return _solve(a, *args, **kwargs)
+def test_upper_path_solves_only_site_sized_matrices(tmp_path, capsys, monkeypatch, rng):
+    # The l1 upper bound diagonalises one 2 x 2 reduced density per qubit and
+    # the lower bound takes its spectra from the witnesses, so with the SDP
+    # stubbed out a robustness report solves nothing larger.
+    import entsup.cli as cli_mod
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    ghz3 = ghz(3, 0.4)
+    monkeypatch.setattr(cli_mod.quantifiers, "rg_ppt_sdp", lambda *args, **kwargs: 0.0)
+    solves = count_solves(monkeypatch)
     random3 = Ket(qubit_register(3), random_pure_amplitudes(rng, 8))
-    for ket, expected in ((ghz3, (1.0, "coherence-partner", True, 1.0)), (random3, None)):
+    for ket in (ghz(3, 0.4), random3):
         solves.clear()
-        best = _best_mixing_upper(density(ket), ket.register)
-        assert solves == [(8, 8)]
-        if expected is not None:
-            assert best == expected
+        path = write_state(tmp_path, "state.json", ket)
+        code, report = run_cli(capsys, "quantify", path, "--quantifier", "robustness")
+        assert code == EXIT_OK
+        assert solves == [(2, 2)] * 3
+        rob = report["results"]["robustness"]
+        assert rob["upper_certified"] is True and rob["s_star"] == rob["upper"]
+
+
+def test_quantify_random_state_has_certified_upper(tmp_path, capsys, rng):
+    ket = Ket(qubit_register(3), random_pure_amplitudes(rng, 8))
+    path = write_state(tmp_path, "q3.json", ket)
+    code, report = run_cli(capsys, "quantify", path, "--quantifier", "robustness")
+    assert code == EXIT_OK
+    rob = report["results"]["robustness"]
+    assert math.isfinite(rob["upper"]) and rob["upper_certified"] is True
+    assert rob["upper_candidate"] in ("l1-computational", "l1-local")
+    assert rob["s_star"] == rob["upper"]
+    assert rob["lower"] <= rob["ppt_sdp"] + 1e-6 <= rob["upper"] + 2e-6
+
+
+def test_single_subsystem_register_is_an_input_error(tmp_path, capsys, monkeypatch):
+    import entsup.cli as cli_mod
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work ran on a register with no bipartition")
+
+    monkeypatch.setattr(cli_mod.quantifiers, "rg_ppt_sdp", unreachable)
+    monkeypatch.setattr(cli_mod.quantifiers, "rg_upper_pure", unreachable)
+    monkeypatch.setattr(cli_mod.quantifiers, "pt_profile", unreachable)
+    path = write_state(tmp_path, "qubit.json", Ket(qubit_register(1), [0.6, 0.8]))
+    for quantifier in ("negativity", "robustness", "all"):
+        code = main(["quantify", path, "--quantifier", quantifier])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert "proper subset" in json.loads(captured.err)["error"]

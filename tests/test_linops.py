@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from entsup.linops import (
     HermOp,
     Partition,
-    eig_hermitian,
     embed_product_vector,
-    identity,
     is_psd,
     neg_eigenspace_projector,
     operator_norm,
@@ -103,39 +101,10 @@ def test_partial_transpose_complement_relation(rng):
     assert np.allclose(lhs, rhs, atol=1e-14)
 
 
-def test_eig_diagonal_matrix():
-    op = HermOp(Register((3,)), np.diag([3.0, 1.0, 2.0]))
-    dec = eig_hermitian(op)
-    assert np.allclose(dec.eigenvalues, [1.0, 2.0, 3.0])
-
-
-def test_eig_rank_one_projector(rng):
-    v = Ket(qubit_register(2), random_pure_amplitudes(rng, 4))
-    dec = eig_hermitian(density(v))
-    assert np.allclose(dec.eigenvalues, [0, 0, 0, 1], atol=1e-12)
-
-
-def test_eig_pauli_x():
-    op = HermOp(Register((2,)), np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.allclose(eig_hermitian(op).eigenvalues, [-1.0, 1.0])
-
-
-def test_eig_invariants(rng):
-    reg = qubit_register(3)
-    m = HermOp(reg, random_hermitian(rng, 8))
-    dec = eig_hermitian(m)
-    v, w = dec.eigenvectors, dec.eigenvalues
-    recon = (v * w) @ v.conj().T
-    norm = operator_norm(m)
-    assert np.max(np.abs(recon - m.matrix)) <= 1e-9 * max(1.0, norm)
-    assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-10
-    assert np.sum(w) == pytest.approx(m.trace(), rel=1e-9)
-
-
 def test_operator_norm_examples():
-    assert operator_norm(identity(qubit_register(3))) == 1.0
+    assert operator_norm(HermOp(qubit_register(3), np.eye(8))) == 1.0
     for n in (2, 3):
-        w = identity(qubit_register(n)).matrix - 2 * density(ghz(n, 0.4)).matrix
+        w = np.eye(2**n) - 2 * density(ghz(n, 0.4)).matrix
         assert operator_norm(HermOp(qubit_register(n), w)) == pytest.approx(1.0)
 
 

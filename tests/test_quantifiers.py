@@ -1,11 +1,14 @@
 """Negativity, Peres tests, mixing, and robustness bounds."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from entsup.linops import HermOp, part, single_cut_partitions
+from entsup.linops import HermOp, part, schmidt_decomposition, single_cut_partitions
 from entsup.qstate import Ket, basis_ket, density, ghz, qubit_register
 from entsup.quantifiers import (
     DIAGONAL_TOL,
@@ -16,6 +19,7 @@ from entsup.quantifiers import (
     ppt_check,
     rg_lower_via_witness,
     rg_ppt_sdp,
+    rg_upper_pure,
     rg_upper_via_mixing,
     separability_certificate_diagonal,
     witnessed_entanglement_pure,
@@ -174,66 +178,7 @@ def test_rg_upper_trivial_and_unknown():
     assert not self_mix.certified_upper
 
 
-def near_diagonal_density(rng, d, coherence):
-    """Diagonal state plus random coherences on the scale of ``coherence``."""
-    probs = 1.0 + rng.uniform(size=d)
-    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = np.triu(h, 1) * coherence / 3.0
-    matrix = np.diag(probs / probs.sum()) + h + h.conj().T
-    return HermOp(qubit_register(int(math.log2(d))), matrix)
-
-
-def off_diagonal_max(rho, pi, s):
-    sigma = (rho.matrix + s * pi.matrix) / (1.0 + s)
-    return float(np.max(np.abs(sigma - np.diag(np.diag(sigma)))))
-
-
-def test_rg_upper_closed_form_matches_fine_scan(rng):
-    checked = 0
-    for trial in range(18):
-        d = 4 if trial % 2 else 8
-        rho = near_diagonal_density(rng, d, 6e-10)
-        pi = near_diagonal_density(rng, d, 3e-11)
-        if trial % 3 == 0:
-            pi = HermOp(rho.register, np.eye(d, dtype=complex) / d)
-        elif trial % 3 == 2:
-            # Coherences opposing rho's: a bounded passing interval near s = 2.
-            off = rho.matrix - np.diag(np.diag(rho.matrix))
-            pi = HermOp(rho.register, pi.matrix - 0.5 * off)
-        bounds = rg_upper_via_mixing(rho, pi)
-        scan = diagonal_mixing_scan(rho.matrix, pi.matrix, DIAGONAL_TOL, float(d))
-        if bounds.upper is not None:
-            assert bounds.certified_upper and bounds.s_star == bounds.upper
-            assert off_diagonal_max(rho, pi, bounds.upper) <= DIAGONAL_TOL
-        if scan is None:
-            continue
-        previous, first = scan
-        assert bounds.upper is not None, f"trial {trial}"
-        assert bounds.upper <= first + 1e-9
-        assert previous is None or bounds.upper > previous
-        checked += 1
-    assert checked >= 15
-
-
 def test_rg_upper_closed_form_special_cases():
-    d = 8
-    reg = qubit_register(3)
-    coherent = np.full((d, d), 5e-10, dtype=complex)
-    np.fill_diagonal(coherent, 1.0 / d)
-    rho = HermOp(reg, coherent)
-    maxmix = HermOp(reg, np.eye(d, dtype=complex) / d)
-    s = rg_upper_via_mixing(rho, maxmix).upper
-    assert s == pytest.approx(4.0, abs=1e-9)
-    previous, first = diagonal_mixing_scan(rho.matrix, maxmix.matrix, DIAGONAL_TOL, 8.0)
-    assert previous < s <= first
-    # Weights are capped at the register dimension: 1e-9 coherences pass only
-    # from s = 9 > d = 8 on.
-    weak = np.full((d, d), 1e-9, dtype=complex)
-    np.fill_diagonal(weak, 1.0 / d)
-    assert rg_upper_via_mixing(HermOp(reg, weak), maxmix).upper is None
-    _, first = diagonal_mixing_scan(weak, maxmix.matrix, DIAGONAL_TOL, 10.0)
-    assert first == pytest.approx(9.0, abs=1e-3)
-
     bell = density(ghz(2, 0.3))
     assert rg_upper_via_mixing(bell, bell).upper is None
     assert diagonal_mixing_scan(bell.matrix, bell.matrix, DIAGONAL_TOL, 4.0) is None
@@ -243,6 +188,107 @@ def test_rg_upper_closed_form_special_cases():
             rho = density(ghz(n, phi))
             pi = density(ghz(n, phi, orthogonal=True))
             assert rg_upper_via_mixing(rho, pi).upper == 1.0
+
+
+def l1_certificate(psi, frames):
+    """Dense D = ||c||_1 U diag(|c|) U^dag, where c = U^dag psi and U = kron(frames)."""
+    u = functools.reduce(np.kron, frames)
+    c = u.conj().T @ psi.amplitudes
+    return np.sum(np.abs(c)) * (u * np.abs(c)) @ u.conj().T
+
+
+def site_eigenbases(rho):
+    """Eigenvectors of every site's reduced density, by tracing out the others."""
+    dims = rho.register.dims
+    n = len(dims)
+    t = rho.matrix.reshape(dims + dims)
+    frames = []
+    for q in range(n):
+        cols = [n + k if k == q else k for k in range(n)]
+        reduced = np.einsum(t, list(range(n)) + cols, [q, n + q])
+        frames.append(np.linalg.eigh(reduced)[1])
+    return frames
+
+
+def check_l1_upper(ket, tol):
+    """The l1 bound dominates the PPT SDP and every single-cut value, with D >= rho."""
+    upper, basis = rg_upper_pure(ket)
+    rho = density(ket)
+    cuts = single_cut_partitions(ket.register)
+    assert upper >= rg_ppt_sdp(rho, cuts, tol=tol) - tol
+    assert upper >= max(np.sum(schmidt_decomposition(ket, p)[0]) ** 2 - 1 for p in cuts) - 1e-12
+    computational = [np.eye(d) for d in ket.register.dims]
+    traces = []
+    for frames in (computational, site_eigenbases(rho)):
+        d_op = l1_certificate(ket, frames)
+        assert np.linalg.eigvalsh(d_op - rho.matrix)[0] >= -1e-12
+        traces.append(np.trace(d_op).real - 1)
+    assert basis in ("l1-computational", "l1-local")
+    assert upper <= max(0.0, traces[0]) + 1e-12
+    return upper, basis, traces
+
+
+_amplitude = st.complex_numbers(
+    max_magnitude=1.0, allow_nan=False, allow_infinity=False, allow_subnormal=False
+)
+
+
+@given(amps=st.lists(_amplitude, min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_rg_upper_pure_is_sound_on_two_qubits(amps):
+    v = np.array(amps)
+    assume(np.linalg.norm(v) > 0.1)
+    check_l1_upper(Ket(qubit_register(2), v / np.linalg.norm(v)), 1e-6)
+
+
+def _in_random_local_frame(rng, amplitudes):
+    n = int(math.log2(amplitudes.size))
+    t = amplitudes.reshape((2,) * n)
+    for q in range(n):
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        u, _ = np.linalg.qr(z)
+        t = np.moveaxis(np.tensordot(u, t, axes=([1], [q])), 0, q)
+    return Ket(qubit_register(n), t.reshape(-1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_rg_upper_pure_is_sound_in_random_local_frames(n):
+    rng = np.random.default_rng(n)
+    w = np.zeros(2**n, dtype=complex)
+    w[[2**q for q in range(n)]] = 1 / math.sqrt(n)
+    zeros = basis_ket(qubit_register(n - 2), (0,) * (n - 2))
+    bell_pair = np.kron(ghz(2, 0.0).amplitudes, zeros.amplitudes)
+    states = [w, ghz(n, 0.3).amplitudes, bell_pair, random_pure_amplitudes(rng, 2**n)]
+    for amplitudes in states:
+        ket = _in_random_local_frame(rng, amplitudes)
+        upper, basis, traces = check_l1_upper(ket, 1e-6)
+        # Reduced spectra of W and of the Haar state are not degenerate, so the
+        # test's eigenbases are the function's and both candidates are known.
+        if amplitudes is w or amplitudes is states[-1]:
+            assert upper == pytest.approx(min(traces), abs=1e-9)
+            assert basis == ("l1-computational", "l1-local")[int(np.argmin(traces))]
+
+
+def test_rg_upper_pure_is_exact_on_two_qubits(rng):
+    reg = qubit_register(2)
+    for _ in range(10):
+        ket = Ket(reg, random_pure_amplitudes(rng, 4))
+        upper, basis = rg_upper_pure(ket)
+        assert basis == "l1-local"
+        schmidt_sum = np.sum(schmidt_decomposition(ket, part(0))[0])
+        assert upper == pytest.approx(schmidt_sum**2 - 1, abs=1e-12)
+        assert upper == pytest.approx(rg_ppt_sdp(density(ket), [part(0)]), abs=1e-6)
+
+
+def test_rg_upper_pure_special_cases():
+    for n in (2, 3, 10):
+        for phi in (0.0, 0.7, math.pi):
+            upper, basis = rg_upper_pure(ghz(n, phi))
+            assert upper == pytest.approx(1.0, abs=1e-15)
+            assert basis == "l1-computational"  # ties keep the computational basis
+    assert rg_upper_pure(basis_ket(qubit_register(3), (0, 1, 1))) == (0.0, "l1-computational")
+    unnormalised = Ket(qubit_register(2), 3.0 * ghz(2, 0.0).amplitudes)
+    assert rg_upper_pure(unnormalised)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entsup.linops import HermOp, identity, operator_norm, part
+from entsup.linops import HermOp, operator_norm, part
 from entsup.qstate import (
     Ket,
     Register,
@@ -56,7 +56,7 @@ def test_eval_witness_on_all_zeros():
 
 def test_eval_witness_identity(rng):
     reg = qubit_register(2)
-    w = Witness(identity(reg))
+    w = Witness(HermOp(reg, np.eye(4)))
     state = Ket(reg, random_pure_amplitudes(rng, 4))
     assert eval_witness(w, state) == pytest.approx(1.0)
     assert eval_witness(w, density(state)) == pytest.approx(1.0)
@@ -144,7 +144,7 @@ def test_interference_term_examples():
     reg = qubit_register(2)
     zero2 = basis_ket(reg, (0, 0))
     one2 = basis_ket(reg, (1, 1))
-    w_id = Witness(identity(reg))
+    w_id = Witness(HermOp(reg, np.eye(4)))
     coeffs = SuperposCoeffs(0.3, 0.7)
     assert interference_term(w_id, zero2, one2, coeffs) == pytest.approx(0.0)
 
