@@ -17,8 +17,8 @@ import time
 import numpy as np
 
 from . import __version__, linops, quantifiers, sdpcore, supbound, witnesses
-from .linops import HermOp, Partition
-from .qstate import Ket, Register, basis_index, complex_pairs, density
+from .linops import Partition
+from .qstate import Ket, Register, basis_index, complex_pairs
 from .quantifiers import QuantifierConfig
 from .supbound import BoundViolationError, SaturationFailureError
 from .witnesses import DEFAULT_SEED
@@ -140,16 +140,15 @@ def cmd_quantify(args) -> tuple[dict, int]:
         raise StateFileError(f"--tolerance must be finite and positive, got {tol}")
     ket = load_state_file(args.state)
     renormalized_input = False
-    if abs(ket.norm() ** 2 - 1.0) > 1e-9:
+    if abs(ket.norm() ** 2 - 1.0) > linops.DENSITY_TOL:
         ket = ket.normalized()
         renormalized_input = True
     parts = parse_partitions(args.partition, ket.register)
-    rho = density(ket)
     results: dict = {}
     exit_code = EXIT_OK
 
     if args.quantifier in ("negativity", "all"):
-        profile = quantifiers.pt_profile(rho, parts)
+        profile = quantifiers.pt_profile(ket, parts)
         results["negativity"] = [
             {"partition": sorted(p.transposed), "value": value}
             for p, (value, _) in zip(parts, profile)
@@ -161,7 +160,7 @@ def cmd_quantify(args) -> tuple[dict, int]:
 
     if args.quantifier in ("robustness", "all"):
         robustness: dict = {}
-        lower, witness_cut = _best_witness_lower(ket, rho)
+        lower, witness_cut = _best_witness_lower(ket)
         robustness["lower"] = lower
         robustness["lower_witness_cut"] = witness_cut
         upper, basis = quantifiers.rg_upper_pure(ket)
@@ -170,7 +169,7 @@ def cmd_quantify(args) -> tuple[dict, int]:
         robustness["upper_candidate"] = basis
         robustness["s_star"] = upper
         try:
-            robustness["ppt_sdp"] = quantifiers.rg_ppt_sdp(rho, parts, tol=tol)
+            robustness["ppt_sdp"] = quantifiers.rg_ppt_sdp(ket, parts, tol=tol)
         except sdpcore.SolverFailureError as err:
             robustness["ppt_sdp"] = None
             robustness["ppt_sdp_best"] = err.best_value
@@ -190,17 +189,16 @@ def cmd_quantify(args) -> tuple[dict, int]:
     return _run_report("quantify", config, results, args.seed), exit_code
 
 
-def _best_witness_lower(ket: Ket, rho: HermOp):
+def _best_witness_lower(ket: Ket):
     """Best cap-identity witness value over per-cut Schmidt-aligned witnesses.
 
-    ``rho`` is the density of the unit ket ``ket``, whose Schmidt vectors
-    align the witnesses.
+    Each cut's value max(0, -<psi|W|psi>) for ``witnesses.maxent_cut_witness``
+    comes from the cut's Schmidt coefficients, without building W.
     """
     best = 0.0
     best_cut = None
     for cut in linops.single_cut_partitions(ket.register):
-        w = witnesses.maxent_cut_witness(ket, cut)
-        lower = quantifiers.rg_lower_via_witness(rho, w).lower
+        lower = max(0.0, -witnesses.maxent_cut_expectation(ket, cut))
         # A later cut must win by more than rounding, so the lowest cut wins a tie.
         margin = 0.0 if best_cut is None else 1e-12 * max(1.0, best)
         if lower > best + margin:

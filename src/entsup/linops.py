@@ -1,4 +1,4 @@
-"""Dense Hermitian linear algebra: partial transpose, eigensolves, projectors."""
+"""Dense Hermitian linear algebra: partial transpose, eigensolves, projectors, Schmidt data."""
 
 from __future__ import annotations
 
@@ -146,11 +146,15 @@ def is_psd(op: HermOp, tol: float = PSD_TOL) -> bool:
     return bool(op.eigenvalues()[0] >= -tol)
 
 
-def check_density(rho: HermOp) -> None:
-    """Raise ValueError unless rho has unit trace and is PSD, both within DENSITY_TOL."""
-    if abs(rho.trace() - 1.0) > DENSITY_TOL:
-        raise ValueError(f"state trace {rho.trace():.12f} is not 1")
-    if not is_psd(rho, DENSITY_TOL):
+def check_density(state: HermOp | Ket) -> None:
+    """Raise ValueError unless the state has unit trace and is PSD, both within DENSITY_TOL.
+
+    A ket stands for |psi><psi|, which is PSD, so only <psi|psi> is checked.
+    """
+    trace = state.norm() ** 2 if isinstance(state, Ket) else state.trace()
+    if abs(trace - 1.0) > DENSITY_TOL:
+        raise ValueError(f"state trace {trace:.12f} is not 1")
+    if isinstance(state, HermOp) and not is_psd(state, DENSITY_TOL):
         raise ValueError("state is not positive semidefinite")
 
 
@@ -159,6 +163,11 @@ def neg_eigenspace_projector(op: HermOp) -> HermOp:
     w, v = np.linalg.eigh(op.matrix)
     cols = v[:, w < -NEG_EIGENSPACE_TOL]
     return HermOp(op.register, cols @ cols.conj().T)
+
+
+def schmidt_coefficients(psi: Ket, partition: Partition) -> np.ndarray:
+    """Nonincreasing Schmidt coefficients of a pure state across a bipartition."""
+    return np.linalg.svd(_cut_matrix(psi, partition), compute_uv=False)
 
 
 def schmidt_decomposition(
@@ -171,12 +180,15 @@ def schmidt_decomposition(
     transposed side and columns of b_vectors on the rest, chosen so that
     ``psi == sum_i coeffs[i] * embed_product_vector(..., a_i, b_i)``.
     """
+    u, s, vh = np.linalg.svd(_cut_matrix(psi, partition), full_matrices=False)
+    return s, u, vh.T
+
+
+def _cut_matrix(psi: Ket, partition: Partition) -> np.ndarray:
+    """Amplitudes as a d_A x d_B matrix, rows on the transposed side."""
     partition.validate(psi.register, proper=True)
     perm, d_a, d_b = _split_axes(psi.register, partition)
-    tens = psi.amplitudes.reshape(psi.register.dims).transpose(perm)
-    mat = tens.reshape(d_a, d_b)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return s, u, vh.T
+    return psi.amplitudes.reshape(psi.register.dims).transpose(perm).reshape(d_a, d_b)
 
 
 def embed_product_vector(

@@ -56,28 +56,40 @@ class QuantifierConfig:
         return parts
 
 
-def pt_profile(rho: HermOp, partitions: Sequence[Partition]) -> list[tuple[float, bool]]:
-    """Negativity and Peres flag per bipartition, from one eigensolve of each rho^{T_A}.
+def pt_profile(
+    state: HermOp | Ket, partitions: Sequence[Partition]
+) -> list[tuple[float, bool]]:
+    """Negativity and Peres flag per bipartition.
 
-    The flag says whether rho^{T_A} is positive semidefinite within ``PSD_TOL``.
+    The flag says whether the partially transposed state is positive
+    semidefinite within ``PSD_TOL``. A dense operator pays one eigensolve of
+    each rho^{T_A}. A ket pays one SVD per cut: with Schmidt coefficients
+    s_1 >= s_2 >= ..., the spectrum of |psi><psi|^{T_A} is s_i^2 and
+    +-s_i s_j for i < j, so the negativity is sum_{i<j} s_i s_j and the
+    smallest eigenvalue is -s_1 s_2 (Vidal & Werner, PRA 65, 032314, 2002).
     """
-    linops.check_density(rho)
+    linops.check_density(state)
     profile = []
     for p in partitions:
-        p.validate(rho.register, proper=True)
-        rt = linops.partial_transpose(rho, p)
+        if isinstance(state, Ket):
+            s = linops.schmidt_coefficients(state, p)
+            value = float(np.dot(s[1:], np.cumsum(s[:-1])))
+            profile.append((value, bool(s[0] * s[1] <= linops.PSD_TOL)))
+            continue
+        p.validate(state.register, proper=True)
+        rt = linops.partial_transpose(state, p)
         value = float(np.sum(np.clip(-rt.eigenvalues(), 0.0, None)))
         profile.append((value, linops.is_psd(rt, linops.PSD_TOL)))
     return profile
 
 
-def negativity(rho: HermOp, partition: Partition) -> float:
+def negativity(state: HermOp | Ket, partition: Partition) -> float:
     """Sum of |negative eigenvalues| of the partially transposed state.
 
     No factor-2 rescaling: the value equals -Tr(W rho) for the witness built
     by :func:`entsup.witnesses.negativity_optimal_witness`.
     """
-    return pt_profile(rho, [partition])[0][0]
+    return pt_profile(state, [partition])[0][0]
 
 
 def witnessed_entanglement_pure(psi: Ket, w: Witness) -> float:
@@ -85,9 +97,9 @@ def witnessed_entanglement_pure(psi: Ket, w: Witness) -> float:
     return max(0.0, -eval_witness(w, psi))
 
 
-def ppt_check(rho: HermOp, partitions: Sequence[Partition]) -> list[bool]:
-    """Peres test per bipartition: is rho^{T_A} positive semidefinite?"""
-    return [flag for _, flag in pt_profile(rho, partitions)]
+def ppt_check(state: HermOp | Ket, partitions: Sequence[Partition]) -> list[bool]:
+    """Peres test per bipartition: is the partially transposed state PSD?"""
+    return [flag for _, flag in pt_profile(state, partitions)]
 
 
 def mix(rho: HermOp, pi: HermOp, s: float) -> HermOp:
@@ -99,13 +111,18 @@ def mix(rho: HermOp, pi: HermOp, s: float) -> HermOp:
     return HermOp(rho.register, (rho.matrix + s * pi.matrix) / (1.0 + s))
 
 
-def separability_certificate_diagonal(rho: HermOp) -> bool:
-    """True when no off-diagonal entry of rho exceeds ``DIAGONAL_TOL`` in modulus.
+def separability_certificate_diagonal(state: HermOp | Ket) -> bool:
+    """True when no off-diagonal entry of the state exceeds ``DIAGONAL_TOL`` in modulus.
 
     Diagonal states are separable by an explicit convex combination of product
-    projectors, so this certificate is sound (but far from complete).
+    projectors, so this certificate is sound (but far from complete). The
+    largest off-diagonal modulus of |psi><psi| is the product of the two
+    largest |psi_i|, so a ket needs no matrix.
     """
-    off = rho.matrix - np.diag(np.diag(rho.matrix))
+    if isinstance(state, Ket):
+        top = np.partition(np.abs(state.amplitudes), -2)[-2:]
+        return float(top[0] * top[1]) <= DIAGONAL_TOL
+    off = state.matrix - np.diag(np.diag(state.matrix))
     return float(np.max(np.abs(off))) <= DIAGONAL_TOL if off.size else True
 
 
@@ -168,16 +185,19 @@ def rg_upper_pure(psi: Ket) -> tuple[float, str]:
     return best
 
 
-def rg_ppt_sdp(rho: HermOp, partitions: Sequence[Partition], tol: float | None = None) -> float:
+def rg_ppt_sdp(
+    state: HermOp | Ket, partitions: Sequence[Partition], tol: float | None = None
+) -> float:
     """PPT-relaxed robustness: min Tr(X), X >= 0, (rho + X)^{T_A} >= 0 per cut.
 
     The PPT set contains the separable set, so the optimum lower-bounds the
     generalized robustness. The solution carries a duality-gap certificate at
     the configured tolerance; non-convergence raises
     :class:`entsup.sdpcore.SolverFailureError` with the best feasible value.
+    A ket's density is built only once the dimension limit has accepted it.
     """
-    problem = sdpcore.build_robustness_sdp(rho, partitions)
-    linops.check_density(rho)
+    problem = sdpcore.build_robustness_sdp(state, partitions)
+    linops.check_density(state)
     if tol is None:
         tol = sdpcore.default_tolerance(problem.variable_dim)
     solution = sdpcore.solve(problem, tol=tol)

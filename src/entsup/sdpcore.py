@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .linops import HermOp, Partition, _transpose_subsystems
+from .qstate import Ket, density
 
 DEFAULT_TOL = 1e-6
 FEASIBILITY_TOL = 1e-7
@@ -86,20 +87,24 @@ class SdpSolution:
     status: str  # "optimal" | "max_iter"
 
 
-def build_robustness_sdp(rho: HermOp, partitions: Sequence[Partition]) -> SdpProblem:
-    """Program min Tr(X), X >= 0, (rho + X)^{T_A} >= 0 for every listed cut."""
+def build_robustness_sdp(state: HermOp | Ket, partitions: Sequence[Partition]) -> SdpProblem:
+    """Program min Tr(X), X >= 0, (rho + X)^{T_A} >= 0 for every listed cut.
+
+    A ket stands for rho = |psi><psi|, which is built only below the
+    dimension limit.
+    """
     if not partitions:
         raise ValueError("need at least one partition")
-    d = rho.register.size
+    d = state.register.size
     if d > MAX_DIMENSION:
         raise ValueError(f"robustness SDP limited to dimension {MAX_DIMENSION}, got {d}")
     for p in partitions:
-        p.validate(rho.register, proper=True)
-    dims = rho.register.dims
+        p.validate(state.register, proper=True)
+    dims = state.register.dims
     transposed = ((),) + tuple(tuple(sorted(p.transposed)) for p in partitions)
     k = len(transposed)
     offsets = np.zeros((k, d, d), dtype=np.complex128)
-    offsets[1:] = rho.matrix
+    offsets[1:] = (density(state) if isinstance(state, Ket) else state).matrix
     entries = np.arange(d * d).reshape(d, d)
     gather = np.stack(
         [_transpose_subsystems(entries, dims, t) + i * d * d for i, t in enumerate(transposed)]

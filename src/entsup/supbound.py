@@ -22,15 +22,14 @@ from .qstate import (
     qubit_register,
     superpose,
 )
-from .quantifiers import QuantifierConfig, rg_lower_via_witness, rg_upper_pure
+from .quantifiers import QuantifierConfig, rg_upper_pure
 from .witnesses import (
     DEFAULT_SEED,
+    REFLECTION_CLASS,
     Witness,
-    eval_witness,
-    ghz_witness,
-    maxent_cut_witness,
+    maxent_cut_expectation,
+    reflection_expectation,
     witness_k,
-    zero_witness,
 )
 
 SATURATION_TOL = 1e-6
@@ -148,8 +147,8 @@ def check_bound_negativity(
         lhs,
         _rhs_terms(
             coeffs,
-            quantifiers.negativity(density(psi), partition),
-            quantifiers.negativity(density(phi), partition),
+            quantifiers.negativity(psi, partition),
+            quantifiers.negativity(phi, partition),
             w_norm,
         ),
         "witness-norm",
@@ -170,8 +169,12 @@ def check_bound_k(
     e_gamma: float,
 ) -> BoundReport:
     """Evaluate the spectral-class bound with caller-supplied quantifier values."""
+    return _class_report(psi, phi, coeffs, witness_k(w), e_psi, e_phi, e_gamma)
+
+
+def _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma) -> BoundReport:
+    """The class-k bound for a witness whose class constant k is already known."""
     _check_nonnegative(e_psi=e_psi, e_phi=e_phi, e_gamma=e_gamma)
-    k = witness_k(w)
     gamma_norm = superpose(coeffs, psi, phi, mode="raw").norm() ** 2
     return _make_report(
         e_gamma,
@@ -183,13 +186,15 @@ def check_bound_k(
 
 
 def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
-    """Run the exactly-saturating GHZ instance end to end.
+    """Run the exactly-saturating GHZ instance end to end, in O(2^n) memory.
 
     The superposition of |0...0> and |1...1> with balanced coefficients is the
     GHZ state; its robustness is pinned by the witness lower bound against the
     certified l1 upper bound (both 1), the branch terms vanish because the
     branches are product states, and the class constant is 1, so the bound
-    holds with equality.
+    holds with equality. The witness is the reflection I - 2|GHZ><GHZ| of
+    :func:`entsup.witnesses.ghz_witness`, evaluated on the ket and classed by
+    its known spectrum; no 2^n x 2^n matrix is built.
     """
     if n < 2:
         raise ValueError(f"the saturation experiment needs n >= 2, got {n}")
@@ -201,8 +206,7 @@ def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
     )
 
     gamma = ghz(n, phi)
-    w = ghz_witness(n, phi)
-    lower = rg_lower_via_witness(density(gamma), w).lower
+    lower = max(0.0, -reflection_expectation(gamma.amplitudes, gamma))
     upper, _ = rg_upper_pure(gamma)
     if abs(upper - lower) > SATURATION_TOL:
         raise SaturationFailureError(
@@ -212,10 +216,11 @@ def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
         )
 
     for branch in (branch_zero, branch_one):
-        if not quantifiers.separability_certificate_diagonal(density(branch)):
+        if not quantifiers.separability_certificate_diagonal(branch):
             raise SaturationFailureError("product branch failed its separability check")
 
-    report = check_bound_k(branch_zero, branch_one, coeffs, w, 0.0, 0.0, lower)
+    k = max(REFLECTION_CLASS)
+    report = _class_report(branch_zero, branch_one, coeffs, k, 0.0, 0.0, lower)
     if not report.saturated:
         raise SaturationFailureError(
             f"saturation gap {report.gap!r} exceeds {SATURATION_TOL}",
@@ -257,7 +262,7 @@ def random_sweep(
                     for p in partitions
                 ]
             else:
-                reports = [_robustness_report(psi, phi, coeffs, register, mode)]
+                reports = [_robustness_report(psi, phi, coeffs, mode)]
         except BoundViolationError as err:
             err.instance["sample_index"] = index
             err.instance["seed"] = seed
@@ -285,35 +290,30 @@ def random_sweep(
     )
 
 
-def _robustness_report(psi, phi, coeffs, register, mode):
-    """Class-k bound with per-cut maximally-entangled witnesses (k = 1).
+def _robustness_report(psi, phi, coeffs, mode):
+    """Class-k bound with per-cut maximally-entangled witnesses.
 
     For pure states the witnessed value of the best single cut equals the
-    bipartite generalized robustness across that cut, computed here through
-    the witness expectation itself.
+    bipartite generalized robustness across that cut. The values come from
+    Schmidt coefficients; the best cut's witness is a reflection (k = 1), or
+    the zero witness (k = 0) when no cut witnesses anything.
     """
-    e_psi, _ = _maxcut_robustness(psi, register)
-    e_phi, _ = _maxcut_robustness(phi, register)
+    e_psi = _maxcut_robustness(psi)
+    e_phi = _maxcut_robustness(phi)
     gamma_raw = superpose(coeffs, psi, phi, mode="raw")
     gamma_norm = gamma_raw.norm() ** 2
-    if gamma_norm < 1e-12:
-        e_gamma, w = 0.0, zero_witness(register)
-    else:
-        gamma_hat = gamma_raw.normalized()
-        e_hat, w = _maxcut_robustness(gamma_hat, register)
+    e_gamma = 0.0
+    if gamma_norm >= 1e-12:
+        e_hat = _maxcut_robustness(gamma_raw.normalized())
         e_gamma = e_hat if mode == "renormalize" else gamma_norm * e_hat
-    return check_bound_k(psi, phi, coeffs, w, e_psi, e_phi, e_gamma)
+    k = max(REFLECTION_CLASS) if e_gamma > 0 else 0.0
+    return _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma)
 
 
-def _maxcut_robustness(psi: Ket, register: Register) -> tuple[float, Witness]:
-    best_value = 0.0
-    best_witness = zero_witness(register)
-    for cut in linops.single_cut_partitions(register):
-        w = maxent_cut_witness(psi, cut)
-        value = max(0.0, -eval_witness(w, psi))
-        if value > best_value:
-            best_value, best_witness = value, w
-    return best_value, best_witness
+def _maxcut_robustness(psi: Ket) -> float:
+    """max(0, -<psi|W|psi>) over the maxent_cut_witness of every single cut."""
+    cuts = linops.single_cut_partitions(psi.register)
+    return max(0.0, *(-maxent_cut_expectation(psi, cut) for cut in cuts))
 
 
 def _random_ket(rng, register: Register) -> Ket:

@@ -18,6 +18,10 @@ from .qstate import (
 
 SPECTRUM_TOL = 1e-9
 DEFAULT_SEED = 42
+# A reflection I - 2|chi><chi| about a unit vector has spectrum {-1} + {+1}^(d - 1).
+REFLECTION_CLASS = (1.0, 1.0)
+# Schmidt coefficients at or below this count as zero in the cut witnesses.
+SCHMIDT_RANK_TOL = 1e-12
 # See-saw limits: sweeps per restart, and the smallest gain that continues one.
 SEESAW_MAX_ITERATIONS = 300
 SEESAW_CONVERGENCE_TOL = 1e-12
@@ -81,14 +85,12 @@ def zero_witness(register) -> Witness:
 
 
 def _reflection_witness(register, chi: np.ndarray) -> Witness:
-    """Witness I - 2|chi><chi| of a unit vector chi, spectrum {-1} + {+1}^(d - 1).
+    """Witness I - 2|chi><chi| of a unit vector chi, in class ``REFLECTION_CLASS``.
 
-    The spectrum is attached by construction, so the class check (1, 1) with
-    the W <= I cap costs no eigensolve.
+    The spectrum is attached by construction, so the class check with the
+    W <= I cap costs no eigensolve.
     """
-    norm_sq = float(np.vdot(chi, chi).real)
-    if abs(norm_sq - 1.0) > 1e-12:
-        raise ValueError(f"reflection vector has squared norm {norm_sq!r}, not 1")
+    _check_unit(chi)
     d = register.size
     spectrum = np.ones(d)
     spectrum[0] = -1.0
@@ -97,7 +99,23 @@ def _reflection_witness(register, chi: np.ndarray) -> Witness:
         np.eye(d, dtype=np.complex128) - 2.0 * np.outer(chi, chi.conj()),
         spectrum,
     )
-    return Witness(op, class_bounds=(1.0, 1.0), cap_identity=True)
+    return Witness(op, class_bounds=REFLECTION_CLASS, cap_identity=True)
+
+
+def reflection_expectation(chi: np.ndarray, psi: Ket) -> float:
+    """<psi|(I - 2|chi><chi|)|psi> = <psi|psi> - 2|<chi|psi>|^2 for a unit vector chi.
+
+    The reflection witness evaluated in O(d), without its d x d matrix.
+    """
+    _check_unit(chi)
+    amp = psi.amplitudes
+    return float(np.vdot(amp, amp).real - 2.0 * abs(np.vdot(chi, amp)) ** 2)
+
+
+def _check_unit(chi: np.ndarray) -> None:
+    norm_sq = float(np.vdot(chi, chi).real)
+    if abs(norm_sq - 1.0) > 1e-12:
+        raise ValueError(f"reflection vector has squared norm {norm_sq!r}, not 1")
 
 
 def eval_witness(w: Witness, state: HermOp | Ket) -> float:
@@ -152,7 +170,7 @@ def maxent_cut_witness(psi: Ket, partition: Partition) -> Witness:
     psi across the cut. A state of Schmidt rank 1 yields the zero witness.
     """
     s, avecs, bvecs = linops.schmidt_decomposition(psi, partition)
-    if s.size < 2 or s[1] <= 1e-12:
+    if s[1] <= SCHMIDT_RANK_TOL:
         return zero_witness(psi.register)
     chi = (
         linops.embed_product_vector(psi.register, partition, avecs[:, 0], bvecs[:, 0])
@@ -161,6 +179,19 @@ def maxent_cut_witness(psi: Ket, partition: Partition) -> Witness:
         )
     ) / math.sqrt(2)
     return _reflection_witness(psi.register, chi)
+
+
+def maxent_cut_expectation(psi: Ket, partition: Partition) -> float:
+    """<psi|W|psi> for W = maxent_cut_witness(psi, partition), from one SVD.
+
+    With Schmidt coefficients s_i across the cut, <chi|psi> = (s_1 + s_2)/sqrt(2),
+    so the value is sum_i s_i^2 - (s_1 + s_2)^2; Schmidt rank 1 gives the zero
+    witness and 0.
+    """
+    s = linops.schmidt_coefficients(psi, partition)
+    if s[1] <= SCHMIDT_RANK_TOL:
+        return 0.0
+    return float(np.dot(s, s) - (s[0] + s[1]) ** 2)
 
 
 def witness_k(w: Witness) -> float:

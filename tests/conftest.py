@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from entsup.qstate import Ket, Register
 
 
 def loop_partial_transpose(matrix: np.ndarray, dims, axes) -> np.ndarray:
@@ -49,6 +52,16 @@ def random_density_matrix(rng, d, rank=None):
     a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = a @ a.conj().T
     return m / np.trace(m).real
+
+
+@st.composite
+def unit_kets(draw):
+    """A unit ket on 2-4 sites of dims 2-3; random support, so often low Schmidt rank."""
+    reg = Register(tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = gen.standard_normal(reg.size) + 1j * gen.standard_normal(reg.size)
+    amps[gen.permutation(reg.size)[draw(st.integers(1, reg.size)):]] = 0.0
+    return Ket(reg, amps / np.linalg.norm(amps))
 
 
 @pytest.fixture

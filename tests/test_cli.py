@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from entsup.cli import (
     main,
     parse_state_document,
 )
+from entsup.linops import single_cut_partitions
 from entsup.qstate import Ket, Register, density, ghz, qubit_register
+from entsup.quantifiers import pt_profile, rg_lower_via_witness
+from entsup.witnesses import maxent_cut_witness
 
-from conftest import random_pure_amplitudes
+from conftest import random_pure_amplitudes, unit_kets
 
 
 def write_state(tmp_path, name, ket):
@@ -31,15 +35,33 @@ def write_state(tmp_path, name, ket):
 
 
 def count_solves(monkeypatch):
-    """Record the argument shape of every later eigh and eigvalsh call."""
+    """Record (name, argument shape) of every later eigh, eigvalsh and svd call."""
     solves = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
-            solves.append(a.shape)
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            solves.append((_name, a.shape))
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return solves
+
+
+def traced_peak(call):
+    """Run call() under tracemalloc; return its result and the peak traced bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def schmidt_oracle(ket):
+    """Singular values of the amplitudes across each single cut, by plain numpy."""
+    t = ket.amplitudes.reshape(ket.register.dims)
+    return [
+        np.linalg.svd(np.moveaxis(t, q, 0).reshape(ket.register.dims[q], -1), compute_uv=False)
+        for q in range(ket.register.nsub)
+    ]
 
 
 def run_cli(capsys, *argv):
@@ -294,7 +316,8 @@ def test_quantify_negativity_solves_each_cut_once(tmp_path, capsys, monkeypatch,
     solves = count_solves(monkeypatch)
     code, _ = run_cli(capsys, "quantify", path, "--quantifier", "negativity")
     assert code == EXIT_OK
-    assert solves == [(8, 8)] * 3  # one partial-transpose spectrum per cut
+    # One SVD of the 2 x 4 amplitude matrix per cut, and no 8 x 8 matrix at all.
+    assert solves == [("svd", (2, 4))] * 3
 
 
 def test_report_is_json_with_metadata(tmp_path, capsys):
@@ -327,7 +350,7 @@ def test_lower_witness_cut_ties_keep_the_lowest_cut(tmp_path, capsys):
     for n in (3, 4, 5):
         for _ in range(8):
             ket = _w_state_in_local_frame(rng, n)
-            lower, cut = _best_witness_lower(ket, density(ket))
+            lower, cut = _best_witness_lower(ket)
             assert cut == [0]
             assert lower == pytest.approx((math.sqrt(1 - 1 / n) + math.sqrt(1 / n)) ** 2 - 1)
     path = write_state(tmp_path, "w3.json", _w_state_in_local_frame(rng, 3))
@@ -337,9 +360,9 @@ def test_lower_witness_cut_ties_keep_the_lowest_cut(tmp_path, capsys):
 
 
 def test_upper_path_solves_only_site_sized_matrices(tmp_path, capsys, monkeypatch, rng):
-    # The l1 upper bound diagonalises one 2 x 2 reduced density per qubit and
-    # the lower bound takes its spectra from the witnesses, so with the SDP
-    # stubbed out a robustness report solves nothing larger.
+    # The lower bound takes one SVD of the 2 x 4 amplitude matrix per cut and
+    # the l1 upper bound diagonalises one 2 x 2 reduced density per qubit, so
+    # with the SDP stubbed out a robustness report solves nothing larger.
     import entsup.cli as cli_mod
 
     monkeypatch.setattr(cli_mod.quantifiers, "rg_ppt_sdp", lambda *args, **kwargs: 0.0)
@@ -350,7 +373,7 @@ def test_upper_path_solves_only_site_sized_matrices(tmp_path, capsys, monkeypatc
         path = write_state(tmp_path, "state.json", ket)
         code, report = run_cli(capsys, "quantify", path, "--quantifier", "robustness")
         assert code == EXIT_OK
-        assert solves == [(2, 2)] * 3
+        assert solves == [("svd", (2, 4))] * 3 + [("eigh", (2, 2))] * 3
         rob = report["results"]["robustness"]
         assert rob["upper_certified"] is True and rob["s_star"] == rob["upper"]
 
@@ -383,3 +406,89 @@ def test_single_subsystem_register_is_an_input_error(tmp_path, capsys, monkeypat
         assert code == EXIT_INPUT
         assert captured.out == ""
         assert "proper subset" in json.loads(captured.err)["error"]
+
+
+def _dense_best_witness_lower(ket):
+    """The witness lower bound through dense witnesses and Tr(W rho), same tie rule."""
+    rho = density(ket)
+    best, best_cut = 0.0, None
+    for cut in single_cut_partitions(ket.register):
+        lower = rg_lower_via_witness(rho, maxent_cut_witness(ket, cut)).lower
+        margin = 0.0 if best_cut is None else 1e-12 * max(1.0, best)
+        if lower > best + margin:
+            best, best_cut = lower, sorted(cut.transposed)
+    return best, best_cut
+
+
+@given(ket=unit_kets())
+@settings(max_examples=200, deadline=None)
+def test_best_witness_lower_matches_dense_witnesses(ket):
+    lower, cut = _best_witness_lower(ket)
+    dense_lower, dense_cut = _dense_best_witness_lower(ket)
+    assert lower == pytest.approx(dense_lower, abs=1e-12)
+    assert cut == dense_cut
+
+
+def test_quantify_above_sdp_limit_is_a_partial_result(tmp_path, capsys):
+    # 9 qubits: every value but the SDP comes from the ket; the SDP refuses
+    # dimension 512 before any 512 x 512 density exists.
+    ket = Ket(qubit_register(9), random_pure_amplitudes(np.random.default_rng(9), 512))
+    path = write_state(tmp_path, "q9.json", ket)
+    code, peak = traced_peak(lambda: main(["quantify", path, "--quantifier", "all"]))
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert peak < 16 * 2**20, peak
+    results = report["results"]
+    sums = [float(np.sum(s)) for s in schmidt_oracle(ket)]
+    for q, (neg, ppt) in enumerate(zip(results["negativity"], results["ppt"])):
+        assert neg["value"] == pytest.approx((sums[q] ** 2 - 1) / 2, abs=1e-12)
+        assert ppt["ppt"] is False
+    rob = results["robustness"]
+    oracle_lower = max(float(s[0] + s[1]) ** 2 - 1 for s in schmidt_oracle(ket))
+    assert rob["lower"] == pytest.approx(oracle_lower, abs=1e-12)
+    assert rob["upper_certified"] is True and rob["upper"] >= rob["lower"]
+    assert rob["ppt_sdp"] is None
+    assert "limited to dimension 256, got 512" in rob["ppt_sdp_error"]
+    assert "ppt_sdp_best" not in rob
+
+
+def test_quantify_negativity_at_fourteen_qubits(tmp_path, capsys):
+    ket = Ket(qubit_register(14), random_pure_amplitudes(np.random.default_rng(14), 2**14))
+    path = write_state(tmp_path, "q14.json", ket)
+    code, peak = traced_peak(lambda: main(["quantify", path, "--quantifier", "negativity"]))
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert peak < 64 * 2**20, peak
+    values = [entry["value"] for entry in report["results"]["negativity"]]
+    oracle = [(float(np.sum(s)) ** 2 - 1) / 2 for s in schmidt_oracle(ket)]
+    assert values == pytest.approx(oracle, abs=1e-12)
+
+
+def test_ghz_saturation_at_fourteen_qubits(capsys):
+    code, peak = traced_peak(lambda: main(["ghz-saturation", "--n", "14"]))
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert peak < 64 * 2**20, peak
+    body = report["results"]["report"]
+    assert body["saturated"] is True and body["lhs"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_quantify_keeps_a_ket_inside_the_density_band(tmp_path, capsys):
+    # norm^2 = 1 + 5e-10 lies inside DENSITY_TOL: no renormalization, exit 0,
+    # and the ket path reports what the dense path computes for that ket.
+    base = random_pure_amplitudes(np.random.default_rng(4), 8)
+    ket = Ket(qubit_register(3), base * math.sqrt(1 + 5e-10))
+    assert abs(ket.norm() ** 2 - 1 - 5e-10) < 1e-15
+    path = write_state(tmp_path, "q3.json", ket)
+    code, report = run_cli(capsys, "quantify", path)
+    assert code == EXIT_OK
+    assert report["config"]["renormalized_input"] is False
+    dense = pt_profile(density(ket), single_cut_partitions(ket.register))
+    results = report["results"]
+    for entry, ppt, (value, flag) in zip(results["negativity"], results["ppt"], dense):
+        assert entry["value"] == pytest.approx(value, abs=1e-12)
+        assert ppt["ppt"] is flag
+    lower, cut = _dense_best_witness_lower(ket)
+    assert results["robustness"]["lower"] == pytest.approx(lower, abs=1e-12)
+    assert results["robustness"]["lower_witness_cut"] == cut
+    assert results["robustness"]["ppt_sdp"] is not None

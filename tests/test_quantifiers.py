@@ -8,8 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from entsup.linops import HermOp, part, schmidt_decomposition, single_cut_partitions
-from entsup.qstate import Ket, basis_ket, density, ghz, qubit_register
+from entsup.linops import (
+    PSD_TOL,
+    HermOp,
+    Partition,
+    part,
+    schmidt_coefficients,
+    schmidt_decomposition,
+    single_cut_partitions,
+)
+from entsup.qstate import Ket, Register, basis_ket, density, ghz, qubit_register, tensor
 from entsup.quantifiers import (
     DIAGONAL_TOL,
     QuantifierConfig,
@@ -17,6 +25,7 @@ from entsup.quantifiers import (
     mix,
     negativity,
     ppt_check,
+    pt_profile,
     rg_lower_via_witness,
     rg_ppt_sdp,
     rg_upper_pure,
@@ -32,7 +41,7 @@ from entsup.witnesses import (
     zero_witness,
 )
 
-from conftest import loop_partial_transpose, random_pure_amplitudes
+from conftest import loop_partial_transpose, random_pure_amplitudes, unit_kets
 from oracles import diagonal_mixing_scan
 
 
@@ -381,3 +390,94 @@ def test_quantifier_config_partitions():
         QuantifierConfig(partitions=()).resolve_partitions(reg)
     with pytest.raises(ValueError):
         QuantifierConfig(partitions=(part(0, 1, 2),)).resolve_partitions(reg)
+
+
+def _all_cuts(register):
+    """Every nonempty proper subset of the sites, as partitions."""
+    n = register.nsub
+    return [
+        Partition(frozenset(i for i in range(n) if mask >> i & 1))
+        for mask in range(1, 2**n - 1)
+    ]
+
+
+@st.composite
+def _ket_and_cut(draw):
+    """A unit ket and a random nonempty proper subset of its sites."""
+    ket = draw(unit_kets())
+    n = ket.register.nsub
+    return ket, Partition(frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))))
+
+
+@given(case=_ket_and_cut())
+@settings(max_examples=200, deadline=None)
+def test_ket_pt_profile_matches_dense(case):
+    ket, cut = case
+    [(value, flag)] = pt_profile(ket, [cut])
+    [(dense_value, dense_flag)] = pt_profile(density(ket), [cut])
+    assert value == pytest.approx(dense_value, abs=1e-12)
+    s = schmidt_coefficients(ket, cut)
+    if abs(s[0] * s[1] - PSD_TOL) > 1e-12:
+        assert flag == dense_flag
+
+
+def _w3():
+    amps = np.zeros(8)
+    amps[[1, 2, 4]] = 1 / math.sqrt(3)
+    return Ket(qubit_register(3), amps)
+
+
+@pytest.mark.parametrize(
+    "ket, expected",
+    [
+        (basis_ket(qubit_register(3), (0, 1, 0)), lambda cut: (0.0, True)),
+        (ghz(3, 0.7), lambda cut: (0.5, False)),
+        (_w3(), lambda cut: (math.sqrt(2) / 3, False)),
+        (
+            tensor(ghz(2, 0.0), basis_ket(qubit_register(1), (0,))),
+            lambda cut: (0.0, True) if cut.transposed in ({2}, {0, 1}) else (0.5, False),
+        ),
+    ],
+    ids=["product", "ghz", "w", "bell-zero"],
+)
+def test_ket_pt_profile_fixed_cases(ket, expected):
+    cuts = _all_cuts(ket.register)
+    profile = pt_profile(ket, cuts)
+    dense = pt_profile(density(ket), cuts)
+    for cut, (value, flag), (dense_value, dense_flag) in zip(cuts, profile, dense):
+        want_value, want_flag = expected(cut)
+        assert value == pytest.approx(want_value, abs=1e-12)
+        assert value == pytest.approx(dense_value, abs=1e-12)
+        assert flag is want_flag and dense_flag is want_flag
+
+
+def test_ket_profile_accepts_the_density_band():
+    # The ket path checks <psi|psi> within DENSITY_TOL, as the dense path
+    # checks the trace, and never rescales the state.
+    base = Ket(qubit_register(3), random_pure_amplitudes(np.random.default_rng(3), 8))
+    inside = Ket(base.register, base.amplitudes * math.sqrt(1 + 5e-10))
+    ket_profile = pt_profile(inside, single_cut_partitions(inside.register))
+    dense_profile = pt_profile(density(inside), single_cut_partitions(inside.register))
+    for (value, flag), (dense_value, dense_flag) in zip(ket_profile, dense_profile):
+        assert value == pytest.approx(dense_value, abs=1e-12) and flag == dense_flag
+    outside = Ket(base.register, base.amplitudes * math.sqrt(1 + 2e-9))
+    for state in (outside, density(outside)):
+        with pytest.raises(ValueError, match="trace"):
+            pt_profile(state, [part(0)])
+
+
+def test_ket_diagonal_certificate_matches_dense():
+    gen = np.random.default_rng(5)
+    for dims in ((2, 2, 2), (3, 2)):
+        reg = Register(dims)
+        kets = [basis_ket(reg, np.unravel_index(i, dims)) for i in range(reg.size)]
+        kets += [Ket(reg, random_pure_amplitudes(gen, reg.size)) for _ in range(20)]
+        # The two largest moduli multiply to just below and just above DIAGONAL_TOL.
+        for second in (0.9e-10, 1.1e-10):
+            amps = np.zeros(reg.size, dtype=complex)
+            amps[0], amps[-1] = 1.0, 1j * second
+            kets.append(Ket(reg, amps / np.linalg.norm(amps)))
+        verdicts = [separability_certificate_diagonal(ket) for ket in kets]
+        assert verdicts == [separability_certificate_diagonal(density(k)) for k in kets]
+        assert verdicts[: reg.size] == [True] * reg.size
+        assert verdicts[-2:] == [True, False]

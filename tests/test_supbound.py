@@ -2,17 +2,19 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entsup.linops import part
-from entsup.qstate import Ket, SuperposCoeffs, basis_ket, ghz, qubit_register
+from entsup.linops import part, single_cut_partitions
+from entsup.qstate import Ket, SuperposCoeffs, basis_ket, ghz, qubit_register, superpose
 from entsup.quantifiers import QuantifierConfig
 from entsup.supbound import (
     BoundViolationError,
+    _robustness_report,
     check_bound_k,
     check_bound_negativity,
     ghz_saturation_experiment,
@@ -20,7 +22,7 @@ from entsup.supbound import (
     rhs_from_witness_class,
     rhs_from_witness_norm,
 )
-from entsup.witnesses import ghz_witness
+from entsup.witnesses import eval_witness, ghz_witness, maxent_cut_witness, zero_witness
 
 from conftest import random_pure_amplitudes
 
@@ -173,6 +175,60 @@ def test_ghz_saturation_experiment_examples():
         assert report.saturated
     with pytest.raises(ValueError):
         ghz_saturation_experiment(1)
+
+
+def _dense_robustness_report(psi, phi, coeffs, mode):
+    """The sweep's robustness report through dense cut witnesses and check_bound_k."""
+    def best(ket):
+        value, witness = 0.0, zero_witness(ket.register)
+        for cut in single_cut_partitions(ket.register):
+            w = maxent_cut_witness(ket, cut)
+            v = max(0.0, -eval_witness(w, ket))
+            if v > value:
+                value, witness = v, w
+        return value, witness
+
+    gamma = superpose(coeffs, psi, phi, mode="raw")
+    norm = gamma.norm() ** 2
+    e_gamma, w = 0.0, zero_witness(psi.register)
+    if norm >= 1e-12:
+        e_hat, w = best(gamma.normalized())
+        e_gamma = e_hat if mode == "renormalize" else norm * e_hat
+    return check_bound_k(psi, phi, coeffs, w, best(psi)[0], best(phi)[0], e_gamma)
+
+
+def test_robustness_report_matches_dense_witnesses(rng):
+    reg = qubit_register(3)
+    zero, one = basis_ket(reg, (0, 0, 0)), basis_ket(reg, (1, 1, 1))
+    cases = [
+        (zero, one, SuperposCoeffs(0.6, 0.8)),  # entangled superposition: k = 1
+        (zero, basis_ket(reg, (0, 0, 1)), SuperposCoeffs(0.6, 0.8)),  # product: k = 0
+        (one, one, SuperposCoeffs(1.0, -1.0)),  # branches cancel: k = 0
+    ]
+    for _ in range(20):
+        psi = Ket(reg, random_pure_amplitudes(rng, 8))
+        phi = Ket(reg, random_pure_amplitudes(rng, 8))
+        cases.append((psi, phi, SuperposCoeffs(0.8, cmath.exp(0.3j) * 0.6)))
+    for psi, phi, coeffs in cases:
+        for mode in ("renormalize", "raw"):
+            got = _robustness_report(psi, phi, coeffs, mode)
+            want = _dense_robustness_report(psi, phi, coeffs, mode)
+            for field in ("lhs", "term_psi", "term_phi", "cross_term", "rhs", "gap", "gamma_norm"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12)
+            assert got.saturated == want.saturated
+
+
+def test_ghz_saturation_experiment_builds_no_dense_operator():
+    # At n = 10 one 1024 x 1024 complex matrix takes 16 MiB; the kets take 16 KiB.
+    ghz_saturation_experiment(10, 0.3)  # warm-up: one-time allocations stay out
+    tracemalloc.start()
+    try:
+        report = ghz_saturation_experiment(10, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert report.saturated and report.lhs == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phase_invariance_of_reports():

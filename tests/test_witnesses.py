@@ -27,8 +27,10 @@ from entsup.witnesses import (
     ghz_witness,
     interference_term,
     max_product_overlap,
+    maxent_cut_expectation,
     maxent_cut_witness,
     negativity_optimal_witness,
+    reflection_expectation,
     witness_k,
     zero_witness,
 )
@@ -259,6 +261,25 @@ def test_constructed_witnesses_carry_their_spectrum(monkeypatch, rng):
 def test_reflection_witness_needs_a_unit_vector():
     with pytest.raises(ValueError, match="squared norm"):
         _reflection_witness(qubit_register(2), np.array([1.0, 0.0, 0.0, 1e-6]))
+    with pytest.raises(ValueError, match="squared norm"):
+        reflection_expectation(np.array([1.0, 0.0, 0.0, 1e-6]), ghz(2, 0.0))
+
+
+def test_ket_expectations_match_the_dense_witnesses(rng):
+    # Unnormalised kets too: both forms are <psi|W|psi>, not a normalised mean.
+    reg = Register((2, 3, 2))
+    cuts = [part(0), part(1), part(2), part(0, 2)]
+    for scale in (1.0, 1.7):
+        for _ in range(10):
+            psi = Ket(reg, scale * random_pure_amplitudes(rng, 12))
+            chi = random_pure_amplitudes(rng, 12)
+            dense = eval_witness(_reflection_witness(reg, chi), psi)
+            assert reflection_expectation(chi, psi) == pytest.approx(dense, abs=1e-12)
+            for cut in cuts:
+                dense = eval_witness(maxent_cut_witness(psi, cut), psi)
+                assert maxent_cut_expectation(psi, cut) == pytest.approx(dense, abs=1e-12)
+    product = basis_ket(reg, (1, 2, 0))
+    assert maxent_cut_expectation(product, part(1)) == 0.0
 
 
 def test_eval_witness_on_operator_matches_trace(rng):
