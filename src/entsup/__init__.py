@@ -32,11 +32,11 @@ from .quantifiers import (
     negativity,
     ppt_check,
     rg_lower_via_witness,
+    rg_lower_pure,
     rg_ppt_sdp,
     rg_upper_pure,
     rg_upper_via_mixing,
     separability_certificate_diagonal,
-    witnessed_entanglement_pure,
 )
 from .sdpcore import SdpProblem, SdpSolution, SolverFailureError, build_robustness_sdp, check_certificate, solve
 from .supbound import (

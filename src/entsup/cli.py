@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import __version__, linops, quantifiers, sdpcore, supbound, witnesses
+from . import __version__, linops, quantifiers, sdpcore, supbound
 from .linops import Partition
 from .qstate import Ket, Register, basis_index, complex_pairs
 from .quantifiers import QuantifierConfig
@@ -160,9 +160,7 @@ def cmd_quantify(args) -> tuple[dict, int]:
 
     if args.quantifier in ("robustness", "all"):
         robustness: dict = {}
-        lower, witness_cut = _best_witness_lower(ket)
-        robustness["lower"] = lower
-        robustness["lower_witness_cut"] = witness_cut
+        robustness["lower"], robustness["lower_witness_cut"] = quantifiers.rg_lower_pure(ket)
         upper, basis = quantifiers.rg_upper_pure(ket)
         robustness["upper"] = upper
         robustness["upper_certified"] = True
@@ -187,24 +185,6 @@ def cmd_quantify(args) -> tuple[dict, int]:
         "renormalized_input": renormalized_input,
     }
     return _run_report("quantify", config, results, args.seed), exit_code
-
-
-def _best_witness_lower(ket: Ket):
-    """Best cap-identity witness value over per-cut Schmidt-aligned witnesses.
-
-    Each cut's value max(0, -<psi|W|psi>) for ``witnesses.maxent_cut_witness``
-    comes from the cut's Schmidt coefficients, without building W.
-    """
-    best = 0.0
-    best_cut = None
-    for cut in linops.single_cut_partitions(ket.register):
-        lower = max(0.0, -witnesses.maxent_cut_expectation(ket, cut))
-        # A later cut must win by more than rounding, so the lowest cut wins a tie.
-        margin = 0.0 if best_cut is None else 1e-12 * max(1.0, best)
-        if lower > best + margin:
-            best = lower
-            best_cut = sorted(cut.transposed)
-    return best, best_cut
 
 
 def cmd_ghz_saturation(args) -> tuple[dict, int]:

@@ -10,7 +10,7 @@ import numpy as np
 from . import linops, sdpcore
 from .linops import HermOp, Partition
 from .qstate import Ket, RegisterMismatchError
-from .witnesses import Witness, WitnessClassError, eval_witness
+from .witnesses import Witness, WitnessClassError, eval_witness, maxent_cut_expectation
 
 DIAGONAL_TOL = 1e-10
 
@@ -27,7 +27,6 @@ class RobustnessBounds:
     upper: float | None = None
     certified_upper: bool = False
     witness_used: Witness | None = None
-    s_star: float | None = None
 
     def __post_init__(self):
         if self.lower < 0:
@@ -40,20 +39,9 @@ class RobustnessBounds:
 
 @dataclass(frozen=True)
 class QuantifierConfig:
-    """Which quantifier to run and over which bipartitions."""
+    """Which quantifier a sweep bounds; it runs over every single cut."""
 
     kind: Literal["negativity", "generalized_robustness"] = "negativity"
-    partitions: tuple[Partition, ...] | None = None  # None: all single-vs-rest
-
-    def resolve_partitions(self, register) -> list[Partition]:
-        if self.partitions is None:
-            return linops.single_cut_partitions(register)
-        parts = list(self.partitions)
-        if not parts:
-            raise ValueError("partition list cannot be empty")
-        for p in parts:
-            p.validate(register, proper=True)
-        return parts
 
 
 def pt_profile(
@@ -90,11 +78,6 @@ def negativity(state: HermOp | Ket, partition: Partition) -> float:
     by :func:`entsup.witnesses.negativity_optimal_witness`.
     """
     return pt_profile(state, [partition])[0][0]
-
-
-def witnessed_entanglement_pure(psi: Ket, w: Witness) -> float:
-    """Pure-state witnessed entanglement max(0, -<psi|W|psi>)."""
-    return max(0.0, -eval_witness(w, psi))
 
 
 def ppt_check(state: HermOp | Ket, partitions: Sequence[Partition]) -> list[bool]:
@@ -155,8 +138,26 @@ def rg_upper_via_mixing(rho: HermOp, pi: HermOp) -> RobustnessBounds:
             and s <= rho.register.size
             and separability_certificate_diagonal(mix(rho, pi, s))
         ):
-            return RobustnessBounds(lower=0.0, upper=s, certified_upper=True, s_star=s)
+            return RobustnessBounds(lower=0.0, upper=s, certified_upper=True)
     return RobustnessBounds(lower=0.0, upper=None)
+
+
+def rg_lower_pure(psi: Ket) -> tuple[float, list[int] | None]:
+    """Best single-cut witness lower bound on the robustness of a pure state, and its cut.
+
+    A cut's value max(0, -<psi|W|psi>) for the W <= I witness
+    :func:`entsup.witnesses.maxent_cut_witness` comes from the cut's Schmidt
+    coefficients, without building W. The cut is given by its sorted indices,
+    the lowest cut on a tie, or None when no cut witnesses anything.
+    """
+    best, best_cut = 0.0, None
+    for cut in linops.single_cut_partitions(psi.register):
+        lower = max(0.0, -maxent_cut_expectation(psi, cut))
+        # A later cut must win by more than rounding, so the lowest cut wins a tie.
+        margin = 0.0 if best_cut is None else 1e-12 * max(1.0, best)
+        if lower > best + margin:
+            best, best_cut = lower, sorted(cut.transposed)
+    return best, best_cut
 
 
 def rg_upper_pure(psi: Ket) -> tuple[float, str]:

@@ -9,7 +9,7 @@ from typing import Literal
 
 import numpy as np
 
-from . import linops, quantifiers, witnesses
+from . import linops, quantifiers
 from .linops import Partition
 from .qstate import (
     Ket,
@@ -17,17 +17,16 @@ from .qstate import (
     SuperposCoeffs,
     basis_ket,
     complex_pairs,
-    density,
     ghz,
     qubit_register,
     superpose,
 )
-from .quantifiers import QuantifierConfig, rg_upper_pure
+from .quantifiers import QuantifierConfig, rg_lower_pure, rg_upper_pure
 from .witnesses import (
     DEFAULT_SEED,
     REFLECTION_CLASS,
     Witness,
-    maxent_cut_expectation,
+    negativity_witness_expectation,
     reflection_expectation,
     witness_k,
 )
@@ -127,36 +126,38 @@ def check_bound_negativity(
 
     The witness side is fully constructive: the optimal witness of the
     superposed state fixes the cross term through its operator norm, and its
-    expectation in the superposed state is that state's negativity. In
+    expectation in the superposed state is that state's negativity; both come
+    from the state's Schmidt coefficients
+    (:func:`entsup.witnesses.negativity_witness_expectation`). In
     ``renormalize`` mode (default) the left side is the negativity of the unit
     state; ``raw`` keeps the natural squared norm of a + b branches as a
     prefactor, matching the derivation for non-orthogonal branches.
     """
-    gamma_raw = superpose(coeffs, psi, phi, mode="raw")
-    gamma_norm = gamma_raw.norm() ** 2
-    if gamma_norm < 1e-12:
-        lhs = 0.0
-        w_norm = 0.0
-    else:
-        gamma_hat = gamma_raw.normalized()
-        w_opt = witnesses.negativity_optimal_witness(density(gamma_hat), partition)
-        lhs_hat = quantifiers.witnessed_entanglement_pure(gamma_hat, w_opt)
-        lhs = lhs_hat if mode == "renormalize" else gamma_norm * lhs_hat
-        w_norm = linops.operator_norm(w_opt.op)
+    e_psi, e_phi = (quantifiers.negativity(branch, partition) for branch in (psi, phi))
+    gamma_norm, gamma_hat, scale = _superposition(psi, phi, coeffs, mode)
+    lhs, w_norm = 0.0, 0.0
+    if gamma_hat is not None:
+        lhs, w_norm = negativity_witness_expectation(gamma_hat, partition)
     return _make_report(
-        lhs,
-        _rhs_terms(
-            coeffs,
-            quantifiers.negativity(psi, partition),
-            quantifiers.negativity(phi, partition),
-            w_norm,
-        ),
+        scale * lhs,
+        _rhs_terms(coeffs, e_psi, e_phi, w_norm),
         "witness-norm",
         gamma_norm,
-        instance=lambda: _instance_payload(
-            psi, phi, coeffs, partition=partition, mode=mode
-        ),
+        instance=lambda: _instance_payload(psi, phi, coeffs, partition=partition, mode=mode),
     )
+
+
+def _superposition(psi, phi, coeffs, mode: GammaMode):
+    """gamma = a psi + b phi once: its squared norm, unit ket and left-side scale.
+
+    The unit ket is None when gamma vanishes; the scale is 1 in ``renormalize``
+    mode and the squared norm in ``raw`` mode.
+    """
+    gamma = superpose(coeffs, psi, phi, mode="raw")
+    gamma_norm = gamma.norm() ** 2
+    if gamma_norm < 1e-12:
+        return gamma_norm, None, 0.0
+    return gamma_norm, gamma.normalized(), 1.0 if mode == "renormalize" else gamma_norm
 
 
 def check_bound_k(
@@ -169,13 +170,13 @@ def check_bound_k(
     e_gamma: float,
 ) -> BoundReport:
     """Evaluate the spectral-class bound with caller-supplied quantifier values."""
-    return _class_report(psi, phi, coeffs, witness_k(w), e_psi, e_phi, e_gamma)
+    gamma_norm = superpose(coeffs, psi, phi, mode="raw").norm() ** 2
+    return _class_report(psi, phi, coeffs, witness_k(w), e_psi, e_phi, e_gamma, gamma_norm)
 
 
-def _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma) -> BoundReport:
+def _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma, gamma_norm) -> BoundReport:
     """The class-k bound for a witness whose class constant k is already known."""
     _check_nonnegative(e_psi=e_psi, e_phi=e_phi, e_gamma=e_gamma)
-    gamma_norm = superpose(coeffs, psi, phi, mode="raw").norm() ** 2
     return _make_report(
         e_gamma,
         _rhs_terms(coeffs, e_psi, e_phi, k),
@@ -220,7 +221,9 @@ def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
             raise SaturationFailureError("product branch failed its separability check")
 
     k = max(REFLECTION_CLASS)
-    report = _class_report(branch_zero, branch_one, coeffs, k, 0.0, 0.0, lower)
+    report = _class_report(
+        branch_zero, branch_one, coeffs, k, 0.0, 0.0, lower, gamma.norm() ** 2
+    )
     if not report.saturated:
         raise SaturationFailureError(
             f"saturation gap {report.gap!r} exceeds {SATURATION_TOL}",
@@ -246,7 +249,7 @@ def random_sweep(
     if samples < 1:
         raise ValueError("need at least one sample")
     register = qubit_register(qubits)
-    partitions = config.resolve_partitions(register)
+    partitions = linops.single_cut_partitions(register)
 
     def run(index: int) -> list[SweepRecord]:
         rng = np.random.default_rng([seed, index])
@@ -298,22 +301,11 @@ def _robustness_report(psi, phi, coeffs, mode):
     Schmidt coefficients; the best cut's witness is a reflection (k = 1), or
     the zero witness (k = 0) when no cut witnesses anything.
     """
-    e_psi = _maxcut_robustness(psi)
-    e_phi = _maxcut_robustness(phi)
-    gamma_raw = superpose(coeffs, psi, phi, mode="raw")
-    gamma_norm = gamma_raw.norm() ** 2
-    e_gamma = 0.0
-    if gamma_norm >= 1e-12:
-        e_hat = _maxcut_robustness(gamma_raw.normalized())
-        e_gamma = e_hat if mode == "renormalize" else gamma_norm * e_hat
+    e_psi, e_phi = rg_lower_pure(psi)[0], rg_lower_pure(phi)[0]
+    gamma_norm, gamma_hat, scale = _superposition(psi, phi, coeffs, mode)
+    e_gamma = 0.0 if gamma_hat is None else scale * rg_lower_pure(gamma_hat)[0]
     k = max(REFLECTION_CLASS) if e_gamma > 0 else 0.0
-    return _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma)
-
-
-def _maxcut_robustness(psi: Ket) -> float:
-    """max(0, -<psi|W|psi>) over the maxent_cut_witness of every single cut."""
-    cuts = linops.single_cut_partitions(psi.register)
-    return max(0.0, *(-maxent_cut_expectation(psi, cut) for cut in cuts))
+    return _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma, gamma_norm)
 
 
 def _random_ket(rng, register: Register) -> Ket:

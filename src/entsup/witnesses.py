@@ -194,6 +194,28 @@ def maxent_cut_expectation(psi: Ket, partition: Partition) -> float:
     return float(np.dot(s, s) - (s[0] + s[1]) ** 2)
 
 
+def negativity_witness_expectation(psi: Ket, partition: Partition) -> tuple[float, float]:
+    """-<psi|W|psi> and ||W|| for W = negativity_optimal_witness(|psi><psi|, partition).
+
+    With psi = sum_i s_i |a_i b_i>, the negative eigenvectors of |psi><psi|^{T_A}
+    are (|a_j* b_i> - |a_i* b_j>)/sqrt(2), eigenvalue -s_i s_j, over the pairs
+    E = {i < j : s_i s_j > NEG_EIGENSPACE_TOL}; so the value is sum_E s_i s_j.
+    W, their projector partially transposed, is 1/2 on each |a_j b_i> and
+    |a_i b_j> of E and -A/2 on span{|a_i b_i>}, with A the 0/1 adjacency
+    matrix of E, so ||W|| = lambda_max(A)/2: one eigensolve of an r x r
+    matrix, r at most the Schmidt rank. Both are 0 when E is empty.
+    """
+    s = linops.schmidt_coefficients(psi, partition)
+    products = np.outer(s, s)
+    edges = np.triu(products > linops.NEG_EIGENSPACE_TOL, 1)
+    if not edges.any():
+        return 0.0, 0.0
+    # s is nonincreasing, so E lives on vertices 0..r-1 and each of them meets vertex 0.
+    r = int(np.count_nonzero(edges[0])) + 1
+    adjacency = (edges | edges.T)[:r, :r].astype(float)
+    return float(np.sum(products[edges])), 0.5 * float(np.linalg.eigvalsh(adjacency)[-1])
+
+
 def witness_k(w: Witness) -> float:
     """Spectral class constant k = max(m, n).
 

@@ -14,7 +14,6 @@ from entsup.cli import (
     EXIT_INPUT,
     EXIT_OK,
     StateFileError,
-    _best_witness_lower,
     ket_to_state_document,
     load_state_file,
     main,
@@ -22,7 +21,7 @@ from entsup.cli import (
 )
 from entsup.linops import single_cut_partitions
 from entsup.qstate import Ket, Register, density, ghz, qubit_register
-from entsup.quantifiers import pt_profile, rg_lower_via_witness
+from entsup.quantifiers import pt_profile, rg_lower_pure, rg_lower_via_witness
 from entsup.witnesses import maxent_cut_witness
 
 from conftest import random_pure_amplitudes, unit_kets
@@ -320,6 +319,37 @@ def test_quantify_negativity_solves_each_cut_once(tmp_path, capsys, monkeypatch,
     assert solves == [("svd", (2, 4))] * 3
 
 
+def test_negativity_sweep_solves_no_register_sized_matrix(capsys, monkeypatch):
+    # Per sample and cut: one SVD each of psi, phi and gamma across the cut, and
+    # one eigensolve of gamma's r x r pair graph, r <= 2 for a single qubit.
+    solves = count_solves(monkeypatch)
+    for qubits in (2, 3):
+        solves.clear()
+        code, _ = run_cli(capsys, "sweep", "--qubits", str(qubits), "--samples", "5")
+        assert code == EXIT_OK
+        assert {shape for name, shape in solves if name == "svd"} == {(2, 2 ** (qubits - 1))}
+        eigen = [shape for name, shape in solves if name != "svd"]
+        assert len(eigen) == 5 * qubits and set(eigen) == {(2, 2)}
+
+
+def test_oversized_registers_are_refused_before_allocation(tmp_path, capsys):
+    sparse = tmp_path / "wide.json"
+    sparse.write_text(json.dumps(
+        {"dims": [2] * 30, "amplitudes": [{"basis": "0" * 30, "amp": [1.0, 0.0]}]}
+    ))
+    for argv in (
+        ["sweep", "--qubits", "21", "--samples", "1"],
+        ["sweep", "--quantifier", "robustness", "--qubits", "1000000000", "--samples", "1"],
+        ["ghz-saturation", "--n", "21"],
+        ["quantify", str(sparse)],
+    ):
+        code, peak = traced_peak(lambda: main(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT, argv
+        assert peak < 2**20, (argv, peak)
+        assert "exceeds the limit" in json.loads(captured.err)["error"], argv
+
+
 def test_report_is_json_with_metadata(tmp_path, capsys):
     path = write_state(tmp_path, "bell.json", ghz(2, 0.0))
     code, report = run_cli(capsys, "quantify", path, "--quantifier", "negativity")
@@ -350,7 +380,7 @@ def test_lower_witness_cut_ties_keep_the_lowest_cut(tmp_path, capsys):
     for n in (3, 4, 5):
         for _ in range(8):
             ket = _w_state_in_local_frame(rng, n)
-            lower, cut = _best_witness_lower(ket)
+            lower, cut = rg_lower_pure(ket)
             assert cut == [0]
             assert lower == pytest.approx((math.sqrt(1 - 1 / n) + math.sqrt(1 / n)) ** 2 - 1)
     path = write_state(tmp_path, "w3.json", _w_state_in_local_frame(rng, 3))
@@ -423,7 +453,7 @@ def _dense_best_witness_lower(ket):
 @given(ket=unit_kets())
 @settings(max_examples=200, deadline=None)
 def test_best_witness_lower_matches_dense_witnesses(ket):
-    lower, cut = _best_witness_lower(ket)
+    lower, cut = rg_lower_pure(ket)
     dense_lower, dense_cut = _dense_best_witness_lower(ket)
     assert lower == pytest.approx(dense_lower, abs=1e-12)
     assert cut == dense_cut

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entsup.qstate import (
+    MAX_REGISTER_SIZE,
     Ket,
     Register,
     RegisterMismatchError,
@@ -32,6 +33,17 @@ def test_register_validation():
         Register(())
     with pytest.raises(ValueError):
         Register((2, 1))
+
+
+def test_register_size_limit():
+    assert MAX_REGISTER_SIZE == 2**20
+    assert qubit_register(20).size == Register((2**20,)).size == MAX_REGISTER_SIZE
+    for dims in ((2,) * 21, (3,) * 13, (2**20 + 1,)):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            Register(dims)
+    for n in (21, 10**12):  # refused before the n dims exist
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            qubit_register(n)
 
 
 def test_basis_ket_single_qubit():
@@ -220,6 +232,6 @@ def test_ket_validation():
     with pytest.raises(ValueError):
         Ket(Register((2,)), np.array([np.inf, 0.0]))
     k = Ket(Register((2,)), np.array([1.0, 0.0]))
-    assert k.is_normalized
+    assert k.norm() == 1.0
     with pytest.raises(ValueError):
         k.amplitudes[0] = 5.0

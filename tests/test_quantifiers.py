@@ -20,7 +20,6 @@ from entsup.linops import (
 from entsup.qstate import Ket, Register, basis_ket, density, ghz, qubit_register, tensor
 from entsup.quantifiers import (
     DIAGONAL_TOL,
-    QuantifierConfig,
     RobustnessBounds,
     mix,
     negativity,
@@ -31,7 +30,6 @@ from entsup.quantifiers import (
     rg_upper_pure,
     rg_upper_via_mixing,
     separability_certificate_diagonal,
-    witnessed_entanglement_pure,
 )
 from entsup.witnesses import (
     WitnessClassError,
@@ -101,16 +99,6 @@ def test_negativity_zero_iff_ppt(rng):
             assert (n_val <= tol) == ppt
 
 
-def test_witnessed_entanglement_pure_examples():
-    for n in (2, 4):
-        w = ghz_witness(n, 0.6)
-        assert witnessed_entanglement_pure(ghz(n, 0.6), w) == pytest.approx(1.0)
-        zeros = basis_ket(qubit_register(n), (0,) * n)
-        assert witnessed_entanglement_pure(zeros, w) == pytest.approx(0.0, abs=1e-12)
-        partner = ghz(n, 0.6, orthogonal=True)
-        assert witnessed_entanglement_pure(partner, w) == 0.0  # clamped from -1
-
-
 def test_ppt_profile_of_ghz_mixture():
     grid = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0, 1.1)
     for n in range(2, 7):
@@ -172,7 +160,6 @@ def test_rg_upper_via_mixing_ghz_exact():
             bounds = rg_upper_via_mixing(rho, pi)
             assert bounds.upper == pytest.approx(1.0, abs=1e-9)
             assert bounds.certified_upper
-            assert bounds.s_star == bounds.upper
 
 
 def test_rg_upper_trivial_and_unknown():
@@ -378,18 +365,6 @@ def test_robustness_bounds_validation():
         RobustnessBounds(lower=1.0, upper=0.5)
     b = RobustnessBounds(lower=0.3, upper=0.4)
     assert b.lower == 0.3 and not b.certified_upper
-
-
-def test_quantifier_config_partitions():
-    reg = qubit_register(3)
-    default = QuantifierConfig().resolve_partitions(reg)
-    assert [sorted(p.transposed) for p in default] == [[0], [1], [2]]
-    explicit = QuantifierConfig(partitions=(part(0, 1),)).resolve_partitions(reg)
-    assert len(explicit) == 1
-    with pytest.raises(ValueError):
-        QuantifierConfig(partitions=()).resolve_partitions(reg)
-    with pytest.raises(ValueError):
-        QuantifierConfig(partitions=(part(0, 1, 2),)).resolve_partitions(reg)
 
 
 def _all_cuts(register):

@@ -263,14 +263,12 @@ def test_sweep_negativity_small():
 
 
 def test_sweep_single_sample_echoes_gap():
-    summary = random_sweep(
-        QuantifierConfig(kind="negativity", partitions=(part(0),)),
-        qubits=2,
-        samples=1,
-        seed=5,
-    )
-    assert len(summary.records) == 1
-    assert summary.min_gap == summary.mean_gap == summary.records[0].gap
+    summary = random_sweep(QuantifierConfig(kind="negativity"), qubits=2, samples=1, seed=5)
+    assert [r.index for r in summary.records] == [0, 0]  # the two single cuts
+    gaps = [r.gap for r in summary.records]
+    assert summary.min_gap == min(gaps)
+    assert summary.mean_gap == pytest.approx(sum(gaps) / 2, abs=1e-15)
+    assert summary.config["partitions"] == [[0], [1]]
 
 
 def test_sweep_deterministic_and_thread_safe():

@@ -5,10 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from entsup.linops import HermOp, operator_norm, part
+from entsup.linops import (
+    NEG_EIGENSPACE_TOL,
+    HermOp,
+    Partition,
+    operator_norm,
+    part,
+    schmidt_coefficients,
+)
 from entsup.qstate import (
     Ket,
     Register,
@@ -30,12 +37,13 @@ from entsup.witnesses import (
     maxent_cut_expectation,
     maxent_cut_witness,
     negativity_optimal_witness,
+    negativity_witness_expectation,
     reflection_expectation,
     witness_k,
     zero_witness,
 )
 
-from conftest import random_density_matrix, random_hermitian, random_pure_amplitudes
+from conftest import random_density_matrix, random_hermitian, random_pure_amplitudes, unit_kets
 from oracles import grid_product_overlap_2q
 
 
@@ -289,3 +297,45 @@ def test_eval_witness_on_operator_matches_trace(rng):
         rho = HermOp(reg, random_density_matrix(rng, 8))
         expected = np.trace(w.op.matrix @ rho.matrix).real
         assert eval_witness(w, rho) == pytest.approx(expected, abs=1e-12)
+
+
+def _dense_negativity_witness(psi, cut):
+    """-<psi|W|psi> and ||W|| through the dense optimal witness of |psi><psi|."""
+    w = negativity_optimal_witness(density(psi), cut)
+    return -eval_witness(w, psi), operator_norm(w.op)
+
+
+@given(ket=unit_kets(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_negativity_witness_expectation_matches_dense_chain(ket, data):
+    sites = range(ket.register.nsub)
+    size = data.draw(st.integers(1, ket.register.nsub - 1))
+    cut = Partition(frozenset(data.draw(st.permutations(sites))[:size]))
+    s = schmidt_coefficients(ket, cut)
+    products = np.outer(s, s)[np.triu_indices(s.size, 1)]
+    # Within rounding of the threshold the two paths may disagree on E.
+    assume(not np.any(np.abs(products - NEG_EIGENSPACE_TOL) < 1e-12))
+    value, norm = negativity_witness_expectation(ket, cut)
+    dense_value, dense_norm = _dense_negativity_witness(ket, cut)
+    assert value == pytest.approx(dense_value, abs=1e-12)
+    assert norm == pytest.approx(dense_norm, abs=1e-12)
+
+
+def test_negativity_witness_expectation_examples(rng):
+    product = basis_ket(qubit_register(2), (0, 1))
+    assert negativity_witness_expectation(product, part(0)) == (0.0, 0.0)
+    value, norm = negativity_witness_expectation(ghz(2, 0.3), part(1))
+    assert value == pytest.approx(0.5, abs=1e-15) and norm == pytest.approx(0.5, abs=1e-15)
+    # A star: s_0 s_1 and s_0 s_2 enter E, s_1 s_2 = 1e-11 does not. The pair
+    # graph gives sqrt(2)/2; a complete graph on three vertices would give 1.
+    amps = np.zeros(9, dtype=complex)
+    amps[[0, 4, 8]] = 1.0, 1e-5, 1e-6
+    star = Ket(Register((3, 3)), amps / np.linalg.norm(amps))
+    value, norm = negativity_witness_expectation(star, part(0))
+    assert norm == pytest.approx(math.sqrt(0.5), abs=1e-14)
+    assert (value, norm) == pytest.approx(_dense_negativity_witness(star, part(0)), abs=1e-14)
+    # A 2|2 cut of a random 4-qubit ket has Schmidt rank 4 and E = K_4: 3/2.
+    psi = Ket(qubit_register(4), random_pure_amplitudes(rng, 16))
+    value, norm = negativity_witness_expectation(psi, part(0, 2))
+    assert norm == pytest.approx(1.5, abs=1e-14)
+    assert (value, norm) == pytest.approx(_dense_negativity_witness(psi, part(0, 2)), abs=1e-12)
