@@ -98,9 +98,6 @@ class Partition:
                 "entanglement tests need a nonempty proper subset of subsystems"
             )
 
-    def complement(self, register: Register) -> "Partition":
-        return Partition(frozenset(range(register.nsub)) - self.transposed)
-
 
 def part(*indices: int) -> Partition:
     """Shorthand constructor for a partition."""

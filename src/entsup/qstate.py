@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -144,28 +144,15 @@ def tensor(left: Ket, right: Ket) -> Ket:
     return Ket(reg, np.kron(left.amplitudes, right.amplitudes))
 
 
-def superpose(
-    coeffs: SuperposCoeffs,
-    psi: Ket,
-    phi: Ket,
-    mode: Literal["raw", "renormalize"] = "raw",
-) -> Ket:
+def superpose(coeffs: SuperposCoeffs, psi: Ket, phi: Ket) -> Ket:
     """Superposition a*psi + b*phi of two kets on the same register.
 
-    Inputs are assumed unit-norm. In ``raw`` mode the result keeps its natural
-    norm |a|^2 + |b|^2 + 2 Re(a* b <psi|phi>); ``renormalize`` rescales it to
-    unit norm and fails when the branches cancel.
+    The result keeps its natural norm |a|^2 + |b|^2 + 2 Re(a* b <psi|phi>) for
+    unit inputs; :meth:`Ket.normalized` rescales it.
     """
     if psi.register != phi.register:
         raise RegisterMismatchError("superposed kets live on different registers")
-    out = Ket(psi.register, coeffs.a * psi.amplitudes + coeffs.b * phi.amplitudes)
-    if mode == "raw":
-        return out
-    if mode == "renormalize":
-        if out.norm() ** 2 < 1e-12:
-            raise ValueError("superposition has (near-)zero norm; cannot renormalize")
-        return out.normalized()
-    raise ValueError(f"unknown superposition mode {mode!r}")
+    return Ket(psi.register, coeffs.a * psi.amplitudes + coeffs.b * phi.amplitudes)
 
 
 def ghz(n: int, phi: float = 0.0, orthogonal: bool = False) -> Ket:
@@ -177,11 +164,10 @@ def ghz(n: int, phi: float = 0.0, orthogonal: bool = False) -> Ket:
     if n < 2:
         raise ValueError(f"GHZ states need at least 2 qubits, got {n}")
     reg = qubit_register(n)
-    zeros = basis_ket(reg, (0,) * n)
-    ones = basis_ket(reg, (1,) * n)
+    amp = np.zeros(reg.size, dtype=np.complex128)
     sign = -1.0 if orthogonal else 1.0
-    coeffs = SuperposCoeffs(1 / math.sqrt(2), sign * cmath.exp(1j * phi) / math.sqrt(2))
-    return superpose(coeffs, zeros, ones, mode="raw")
+    amp[0], amp[-1] = 1 / math.sqrt(2), sign * cmath.exp(1j * phi) / math.sqrt(2)
+    return Ket(reg, amp)
 
 
 def overlap(psi: Ket, phi: Ket) -> complex:

@@ -26,7 +26,6 @@ class RobustnessBounds:
     lower: float = 0.0
     upper: float | None = None
     certified_upper: bool = False
-    witness_used: Witness | None = None
 
     def __post_init__(self):
         if self.lower < 0:
@@ -116,29 +115,30 @@ def rg_lower_via_witness(rho: HermOp, w: Witness) -> RobustnessBounds:
             "robustness lower bounds need a witness from the W <= I class"
         )
     value = max(0.0, -eval_witness(w, rho))
-    return RobustnessBounds(lower=value, witness_used=w)
+    return RobustnessBounds(lower=value)
 
 
 def rg_upper_via_mixing(rho: HermOp, pi: HermOp) -> RobustnessBounds:
     """Smallest mixing weight s making (rho + s*pi)/(1+s) pass the certificate.
 
-    Tries, in order: s = 0, then the analytic cancellation point where every
-    off-diagonal of rho + s*pi vanishes simultaneously (exact for states whose
-    coherences are proportional to minus the mixing state's). Every candidate
-    is re-checked against the certificate; when none passes with s at most
-    the register dimension the upper bound is unknown.
+    Tries, in order: s = 0, then the least-squares weight
+    s* = -Re<off(pi), off(rho)> / ||off(pi)||^2 that minimises the
+    off-diagonal part of rho + s*pi (off zeroes the diagonal). Where the
+    coherences of rho are exactly proportional to minus those of pi, s* is
+    the point at which they all cancel. A candidate counts only when
+    0 <= s <= the register dimension and the mixture passes the certificate;
+    otherwise the upper bound is unknown.
     """
     linops.check_density(rho)
     linops.check_density(pi)
     if rho.register != pi.register:
         raise RegisterMismatchError("state and mixing state registers differ")
-    for s in (0.0, _diagonal_cancellation_point(rho, pi)):
-        if (
-            s is not None
-            and s <= rho.register.size
-            and separability_certificate_diagonal(mix(rho, pi, s))
-        ):
-            return RobustnessBounds(lower=0.0, upper=s, certified_upper=True)
+    r, p = (op.matrix - np.diag(np.diag(op.matrix)) for op in (rho, pi))
+    p_sq = np.vdot(p, p).real
+    candidates = (0.0,) if p_sq == 0 else (0.0, -np.vdot(p, r).real / p_sq)
+    for s in candidates:
+        if 0 <= s <= rho.register.size and separability_certificate_diagonal(mix(rho, pi, s)):
+            return RobustnessBounds(lower=0.0, upper=float(s), certified_upper=True)
     return RobustnessBounds(lower=0.0, upper=None)
 
 
@@ -209,28 +209,3 @@ def rg_ppt_sdp(
             solution=solution,
         )
     return solution.primal_value
-
-
-def _diagonal_cancellation_point(rho: HermOp, pi: HermOp) -> float | None:
-    """The unique s with rho + s*pi diagonal, if one exists."""
-    r = rho.matrix.copy()
-    p = pi.matrix.copy()
-    np.fill_diagonal(r, 0.0)
-    np.fill_diagonal(p, 0.0)
-    scale = max(float(np.max(np.abs(r))), 1e-300)
-    live = np.abs(r) > 1e-13 * scale
-    if not live.any():
-        return None
-    if np.any(live & (np.abs(p) < 1e-13 * scale)):
-        return None
-    ratios = -r[live] / p[live]
-    s = ratios[0]
-    if abs(s.imag) > 1e-9 * max(1.0, abs(s)) or s.real <= 0:
-        return None
-    if np.max(np.abs(ratios - s)) > 1e-9 * max(1.0, abs(s)):
-        return None
-    # Entries of rho that vanish must stay zero at the mixing point.
-    dead = (~live) & (np.abs(p) > 1e-13 * scale)
-    if dead.any():
-        return None
-    return float(s.real)

@@ -340,6 +340,7 @@ def test_oversized_registers_are_refused_before_allocation(tmp_path, capsys):
     for argv in (
         ["sweep", "--qubits", "21", "--samples", "1"],
         ["sweep", "--quantifier", "robustness", "--qubits", "1000000000", "--samples", "1"],
+        ["sweep", "--qubits", "3", "--samples", "100000000"],
         ["ghz-saturation", "--n", "21"],
         ["quantify", str(sparse)],
     ):

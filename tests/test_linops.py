@@ -41,7 +41,6 @@ def test_partition_validation():
         part().validate(reg, proper=True)
     with pytest.raises(ValueError):
         part(0, 1, 2).validate(reg, proper=True)
-    assert part(1).complement(reg) == part(0, 2)
     assert [sorted(p.transposed) for p in single_cut_partitions(reg)] == [[0], [1], [2]]
 
 

@@ -110,16 +110,14 @@ def test_superpose_raw_keeps_natural_norm():
     reg = Register((2,))
     zero = basis_ket(reg, [0])
     c = SuperposCoeffs(1 / math.sqrt(2), 1 / math.sqrt(2))
-    out = superpose(c, zero, zero, mode="raw")
+    out = superpose(c, zero, zero)
     assert out.norm() ** 2 == pytest.approx(2.0, abs=1e-12)
 
 
-def test_superpose_renormalize_mode():
+def test_superpose_then_normalized():
     reg = Register((2,))
-    out = superpose(
-        SuperposCoeffs(3.0, 4.0), basis_ket(reg, [0]), basis_ket(reg, [1]),
-        mode="renormalize",
-    )
+    raw = superpose(SuperposCoeffs(3.0, 4.0), basis_ket(reg, [0]), basis_ket(reg, [1]))
+    out = raw.normalized()
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
     assert abs(out.amplitudes[0]) == pytest.approx(0.6)
 
@@ -133,9 +131,7 @@ def test_superpose_errors():
         )
     zero = basis_ket(Register((2,)), [0])
     with pytest.raises(ValueError):
-        superpose(SuperposCoeffs(1, -1), zero, zero, mode="renormalize")
-    with pytest.raises(ValueError):
-        superpose(SuperposCoeffs(1, 0), zero, zero, mode="bogus")
+        superpose(SuperposCoeffs(1, -1), zero, zero).normalized()
 
 
 @given(

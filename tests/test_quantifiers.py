@@ -186,6 +186,40 @@ def test_rg_upper_closed_form_special_cases():
             assert rg_upper_via_mixing(rho, pi).upper == 1.0
 
 
+def opposed_coherence_pair(rng, eps, kappa, noise):
+    """Diagonally dominant rho = P + eps*C and pi = Q - kappa*C + noise*N on two qubits.
+
+    C and N are off-diagonal Hermitian with entries of modulus at most 1, so
+    both are densities (Gershgorin) and, without noise, rho + s*pi is
+    diagonal exactly at s = eps / kappa.
+    """
+    def off_diagonal():
+        m = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+        m = (m + m.conj().T) / 2
+        np.fill_diagonal(m, 0.0)
+        return m / np.max(np.abs(m))
+
+    p, q, c = rng.dirichlet([50.0] * 4), rng.dirichlet([50.0] * 4), off_diagonal()
+    reg = qubit_register(2)
+    rho = HermOp(reg, np.diag(p) + eps * c)
+    pi = HermOp(reg, np.diag(q) - kappa * c + noise * off_diagonal())
+    return rho, pi
+
+
+def test_rg_upper_via_mixing_least_squares_weight(rng):
+    for _ in range(50):
+        eps, kappa = rng.uniform(0.005, 0.03), rng.uniform(0.01, 0.03)
+        rho, pi = opposed_coherence_pair(rng, eps, kappa, 0.0)
+        bounds = rg_upper_via_mixing(rho, pi)
+        assert bounds.upper == pytest.approx(eps / kappa, rel=1e-12)
+    # Coherences proportional only up to a perturbation the 1e-10 certificate absorbs.
+    for _ in range(20):
+        rho, pi = opposed_coherence_pair(rng, 0.01, 0.02, 5e-11)
+        s = rg_upper_via_mixing(rho, pi).upper
+        assert s == pytest.approx(0.5, rel=1e-8)
+        assert separability_certificate_diagonal(mix(rho, pi, s))
+
+
 def l1_certificate(psi, frames):
     """Dense D = ||c||_1 U diag(|c|) U^dag, where c = U^dag psi and U = kron(frames)."""
     u = functools.reduce(np.kron, frames)
@@ -313,7 +347,6 @@ def test_rg_lower_via_witness_examples():
         rho = density(ghz(n, 0.9))
         bounds = rg_lower_via_witness(rho, ghz_witness(n, 0.9))
         assert bounds.lower == pytest.approx(1.0)
-        assert bounds.witness_used is not None
 
         d = 2**n
         maxmix = HermOp(rho.register, np.eye(d, dtype=complex) / d)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entsup import supbound
 from entsup.linops import part, single_cut_partitions
 from entsup.qstate import Ket, SuperposCoeffs, basis_ket, ghz, qubit_register, superpose
 from entsup.quantifiers import QuantifierConfig
@@ -188,7 +189,7 @@ def _dense_robustness_report(psi, phi, coeffs, mode):
                 value, witness = v, w
         return value, witness
 
-    gamma = superpose(coeffs, psi, phi, mode="raw")
+    gamma = superpose(coeffs, psi, phi)
     norm = gamma.norm() ** 2
     e_gamma, w = 0.0, zero_witness(psi.register)
     if norm >= 1e-12:
@@ -276,6 +277,32 @@ def test_sweep_deterministic_and_thread_safe():
     one = random_sweep(config, qubits=3, samples=40, seed=9)
     two = random_sweep(config, qubits=3, samples=40, seed=9)
     assert one == two
+
+
+def test_sweep_forms_gamma_once_per_sample(monkeypatch):
+    calls = []
+
+    def counted(*args, _superposition=supbound._superposition):
+        calls.append(args)
+        return _superposition(*args)
+
+    monkeypatch.setattr(supbound, "_superposition", counted)
+    for kind in ("negativity", "generalized_robustness"):
+        calls.clear()
+        summary = random_sweep(QuantifierConfig(kind=kind), qubits=3, samples=5, seed=3)
+        assert len(calls) == 5, kind
+        assert len(summary.records) == (15 if kind == "negativity" else 5)
+
+
+def test_sweep_row_limit_counts_rows_per_sample(monkeypatch):
+    monkeypatch.setattr(supbound, "MAX_SWEEP_ROWS", 6)
+    assert len(random_sweep(QuantifierConfig(), qubits=3, samples=2).records) == 6
+    robustness = QuantifierConfig(kind="generalized_robustness")
+    assert len(random_sweep(robustness, qubits=3, samples=6).records) == 6
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        random_sweep(QuantifierConfig(), qubits=3, samples=3)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        random_sweep(robustness, qubits=3, samples=7)
 
 
 def test_sweep_validates_sample_count():
