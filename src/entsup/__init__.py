@@ -23,7 +23,6 @@ from .qstate import (
     overlap,
     qubit_register,
     superpose,
-    tensor,
 )
 from .quantifiers import (
     QuantifierConfig,
@@ -59,7 +58,6 @@ from .witnesses import (
     ghz_witness,
     interference_term,
     max_product_overlap,
-    maxent_cut_witness,
     negativity_optimal_witness,
     witness_k,
     zero_witness,

@@ -238,13 +238,13 @@ def cmd_sweep(args) -> tuple[dict, int]:
 
 
 def _write_csv(path: str, summary) -> None:
-    lines = ["index,abs_a,abs_b,lhs,rhs,gap"]
-    for rec in summary.records:
-        lines.append(
-            f"{rec.index},{rec.abs_a!r},{rec.abs_b!r},{rec.lhs!r},{rec.rhs!r},{rec.gap!r}"
-        )
+    """Write one row per record as it is formatted, so no copy of the table is held."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("index,abs_a,abs_b,lhs,rhs,gap\n")
+        for rec in summary.records:
+            handle.write(
+                f"{rec.index},{rec.abs_a!r},{rec.abs_b!r},{rec.lhs!r},{rec.rhs!r},{rec.gap!r}\n"
+            )
 
 
 def _run_report(command: str, config: dict, results: dict, seed: int) -> dict:

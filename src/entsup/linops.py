@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,49 +164,21 @@ def neg_eigenspace_projector(op: HermOp) -> HermOp:
 
 
 def schmidt_coefficients(psi: Ket, partition: Partition) -> np.ndarray:
-    """Nonincreasing Schmidt coefficients of a pure state across a bipartition."""
-    return np.linalg.svd(_cut_matrix(psi, partition), compute_uv=False)
+    """Nonincreasing Schmidt coefficients (read-only) of a pure state across a bipartition.
 
-
-def schmidt_decomposition(
-    psi: Ket, partition: Partition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt data of a pure state across a bipartition.
-
-    Returns ``(coeffs, a_vectors, b_vectors)``: nonincreasing Schmidt
-    coefficients and orthonormal vectors, columns of a_vectors living on the
-    transposed side and columns of b_vectors on the rest, chosen so that
-    ``psi == sum_i coeffs[i] * embed_product_vector(..., a_i, b_i)``.
+    The ket keeps them, so each (ket, cut) pays one SVD however often it is read.
     """
-    u, s, vh = np.linalg.svd(_cut_matrix(psi, partition), full_matrices=False)
-    return s, u, vh.T
-
-
-def _cut_matrix(psi: Ket, partition: Partition) -> np.ndarray:
-    """Amplitudes as a d_A x d_B matrix, rows on the transposed side."""
-    partition.validate(psi.register, proper=True)
-    perm, d_a, d_b = _split_axes(psi.register, partition)
-    return psi.amplitudes.reshape(psi.register.dims).transpose(perm).reshape(d_a, d_b)
-
-
-def embed_product_vector(
-    register: Register, partition: Partition, a_vec: np.ndarray, b_vec: np.ndarray
-) -> np.ndarray:
-    """Amplitudes of (a_vec on partition) x (b_vec on the rest) in register order."""
-    perm, d_a, d_b = _split_axes(register, partition)
-    prod = np.outer(np.asarray(a_vec), np.asarray(b_vec)).reshape(
-        [register.dims[i] for i in perm]
-    )
-    inverse = np.argsort(perm)
-    return prod.transpose(inverse).reshape(register.size)
-
-
-def _split_axes(register: Register, partition: Partition):
-    a_axes = sorted(partition.transposed)
-    b_axes = [i for i in range(register.nsub) if i not in partition.transposed]
-    d_a = int(np.prod([register.dims[i] for i in a_axes])) if a_axes else 1
-    d_b = int(np.prod([register.dims[i] for i in b_axes])) if b_axes else 1
-    return a_axes + b_axes, d_a, d_b
+    s = psi._schmidt.get(partition)
+    if s is None:
+        partition.validate(psi.register, proper=True)
+        dims = psi.register.dims
+        axes = sorted(partition.transposed) + sorted(set(range(len(dims))) - partition.transposed)
+        d_a = math.prod(dims[i] for i in partition.transposed)
+        cut = psi.amplitudes.reshape(dims).transpose(axes).reshape(d_a, -1)
+        s = np.linalg.svd(cut, compute_uv=False)
+        s.setflags(write=False)
+        psi._schmidt[partition] = s
+    return s
 
 
 def matrix_element(op: HermOp, bra: Ket, ket: Ket) -> complex:

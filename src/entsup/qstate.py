@@ -1,10 +1,10 @@
-"""Multi-qubit pure states: registers, basis kets, tensor products, superpositions."""
+"""Multi-qubit pure states: registers, basis kets, superpositions, the GHZ family."""
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -61,10 +61,15 @@ def qubit_register(n: int) -> Register:
 
 @dataclass(frozen=True, eq=False)
 class Ket:
-    """Dense complex amplitude vector over a register."""
+    """Dense complex amplitude vector over a register.
+
+    The amplitudes are read-only, so each cut's Schmidt coefficients are kept
+    once computed (:func:`entsup.linops.schmidt_coefficients`).
+    """
 
     register: Register
     amplitudes: np.ndarray
+    _schmidt: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         amp = np.array(self.amplitudes, dtype=np.complex128)
@@ -136,12 +141,6 @@ def basis_index(register: Register, indices: Sequence[int]) -> int:
 def complex_pairs(values) -> list[list[float]]:
     """The ``[re, im]`` encoding of complex numbers used by state files and reports."""
     return [[z.real, z.imag] for z in values]
-
-
-def tensor(left: Ket, right: Ket) -> Ket:
-    """Tensor product; the result's register is the concatenation of the inputs'."""
-    reg = Register(left.register.dims + right.register.dims)
-    return Ket(reg, np.kron(left.amplitudes, right.amplitudes))
 
 
 def superpose(coeffs: SuperposCoeffs, psi: Ket, phi: Ket) -> Ket:

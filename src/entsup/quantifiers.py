@@ -145,9 +145,9 @@ def rg_upper_via_mixing(rho: HermOp, pi: HermOp) -> RobustnessBounds:
 def rg_lower_pure(psi: Ket) -> tuple[float, list[int] | None]:
     """Best single-cut witness lower bound on the robustness of a pure state, and its cut.
 
-    A cut's value max(0, -<psi|W|psi>) for the W <= I witness
-    :func:`entsup.witnesses.maxent_cut_witness` comes from the cut's Schmidt
-    coefficients, without building W. The cut is given by its sorted indices,
+    A cut's value max(0, -<psi|W|psi>) for the W <= I cut witness of
+    :func:`entsup.witnesses.maxent_cut_expectation` comes from the cut's
+    Schmidt coefficients, without building W. The cut is given by its sorted indices,
     the lowest cut on a tie, or None when no cut witnesses anything.
     """
     best, best_cut = 0.0, None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,33 +159,15 @@ def ghz_witness(n: int, phi: float = 0.0) -> Witness:
     return _reflection_witness(state.register, state.amplitudes)
 
 
-def maxent_cut_witness(psi: Ket, partition: Partition) -> Witness:
-    """Cap-identity witness I - 2|chi><chi| aligned with psi's Schmidt structure.
-
-    chi is the maximally entangled state on the two leading Schmidt vectors of
-    psi across the cut; its largest product overlap is 1/2, so the operator is
-    a genuine witness for that bipartition, with spectral class (1, 1). For a
-    pure psi, -<psi|W|psi> = (s1 + s2)^2 - 1, the generalized robustness of
-    psi across the cut. A state of Schmidt rank 1 yields the zero witness.
-    """
-    s, avecs, bvecs = linops.schmidt_decomposition(psi, partition)
-    if s[1] <= SCHMIDT_RANK_TOL:
-        return zero_witness(psi.register)
-    chi = (
-        linops.embed_product_vector(psi.register, partition, avecs[:, 0], bvecs[:, 0])
-        + linops.embed_product_vector(
-            psi.register, partition, avecs[:, 1], bvecs[:, 1]
-        )
-    ) / math.sqrt(2)
-    return _reflection_witness(psi.register, chi)
-
-
 def maxent_cut_expectation(psi: Ket, partition: Partition) -> float:
-    """<psi|W|psi> for W = maxent_cut_witness(psi, partition), from one SVD.
+    """<psi|W|psi> for the cut witness W = I - 2|chi><chi| of psi, from one SVD.
 
-    With Schmidt coefficients s_i across the cut, <chi|psi> = (s_1 + s_2)/sqrt(2),
-    so the value is sum_i s_i^2 - (s_1 + s_2)^2; Schmidt rank 1 gives the zero
-    witness and 0.
+    chi is the maximally entangled state on psi's two leading Schmidt vectors
+    across the cut. Its largest product overlap is 1/2, so W is a cap-identity
+    witness for that bipartition in ``REFLECTION_CLASS``. With Schmidt
+    coefficients s_i, <chi|psi> = (s_1 + s_2)/sqrt(2), so the value is
+    sum_i s_i^2 - (s_1 + s_2)^2; for a unit psi, minus that is the generalized
+    robustness across the cut. Schmidt rank 1 gives the zero witness and 0.
     """
     s = linops.schmidt_coefficients(psi, partition)
     if s[1] <= SCHMIDT_RANK_TOL:
@@ -261,7 +242,7 @@ def max_product_overlap(
     for restart in range(config.restarts):
         rng = np.random.default_rng(config.seed + restart)
         sites = [_random_unit(rng, d) for d in dims]
-        value = _product_expectation(tens, sites, n)
+        value = -np.inf
         for _ in range(SEESAW_MAX_ITERATIONS):
             previous = value
             for j in range(n):
@@ -291,14 +272,6 @@ def _effective_site_matrix(tens, sites, n, j):
         operands.extend([sites[i], [n + i]])
     m = np.einsum(*operands, [j, n + j])
     return 0.5 * (m + m.conj().T)
-
-
-def _product_expectation(tens, sites, n):
-    operands = [tens, list(range(2 * n))]
-    for i in range(n):
-        operands.extend([sites[i].conj(), [i]])
-        operands.extend([sites[i], [n + i]])
-    return float(np.real(np.einsum(*operands, [])))
 
 
 def _random_unit(rng, d):

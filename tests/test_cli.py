@@ -1,5 +1,6 @@
 """Command-line contract: parsing, outputs, exit codes, determinism."""
 
+import itertools
 import json
 import math
 import re
@@ -14,6 +15,7 @@ from entsup.cli import (
     EXIT_INPUT,
     EXIT_OK,
     StateFileError,
+    _write_csv,
     ket_to_state_document,
     load_state_file,
     main,
@@ -22,9 +24,10 @@ from entsup.cli import (
 from entsup.linops import single_cut_partitions
 from entsup.qstate import Ket, Register, density, ghz, qubit_register
 from entsup.quantifiers import pt_profile, rg_lower_pure, rg_lower_via_witness
-from entsup.witnesses import maxent_cut_witness
+from entsup.supbound import SweepRecord, SweepSummary
 
 from conftest import random_pure_amplitudes, unit_kets
+from oracles import maxent_cut_witness
 
 
 def write_state(tmp_path, name, ket):
@@ -169,6 +172,21 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     header = first.read_text().splitlines()[0]
     assert header == "index,abs_a,abs_b,lhs,rhs,gap"
+
+
+def test_sweep_csv_is_streamed(tmp_path):
+    # Joined into one string, these 40 000 rows peaked at 14 MiB; written as
+    # they are formatted, the peak stays near the file buffer.
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((40_000, 5))
+    records = tuple(SweepRecord(i, *map(float, row)) for i, row in enumerate(values))
+    summary = SweepSummary(len(records), 0.0, 0.0, 0, 0, {}, records)
+    target = tmp_path / "rows.csv"
+    _, peak = traced_peak(lambda: _write_csv(str(target), summary))
+    assert peak < 2**20
+    rows = [f"{r.index},{r.abs_a!r},{r.abs_b!r},{r.lhs!r},{r.rhs!r},{r.gap!r}" for r in records]
+    expected = "\n".join(["index,abs_a,abs_b,lhs,rhs,gap"] + rows) + "\n"
+    assert target.read_bytes() == expected.encode("utf-8")
 
 
 def test_sweep_usage_error(capsys):
@@ -393,16 +411,17 @@ def test_lower_witness_cut_ties_keep_the_lowest_cut(tmp_path, capsys):
 def test_upper_path_solves_only_site_sized_matrices(tmp_path, capsys, monkeypatch, rng):
     # The lower bound takes one SVD of the 2 x 4 amplitude matrix per cut and
     # the l1 upper bound diagonalises one 2 x 2 reduced density per qubit, so
-    # with the SDP stubbed out a robustness report solves nothing larger.
+    # with the SDP stubbed out a robustness report solves nothing larger. With
+    # all quantifiers the negativity reads the same three SVDs.
     import entsup.cli as cli_mod
 
     monkeypatch.setattr(cli_mod.quantifiers, "rg_ppt_sdp", lambda *args, **kwargs: 0.0)
     solves = count_solves(monkeypatch)
     random3 = Ket(qubit_register(3), random_pure_amplitudes(rng, 8))
-    for ket in (ghz(3, 0.4), random3):
+    for ket, quantifier in itertools.product((ghz(3, 0.4), random3), ("robustness", "all")):
         solves.clear()
         path = write_state(tmp_path, "state.json", ket)
-        code, report = run_cli(capsys, "quantify", path, "--quantifier", "robustness")
+        code, report = run_cli(capsys, "quantify", path, "--quantifier", quantifier)
         assert code == EXIT_OK
         assert solves == [("svd", (2, 4))] * 3 + [("eigh", (2, 2))] * 3
         rob = report["results"]["robustness"]

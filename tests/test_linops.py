@@ -10,18 +10,17 @@ from hypothesis import strategies as st
 from entsup.linops import (
     HermOp,
     Partition,
-    embed_product_vector,
     is_psd,
     neg_eigenspace_projector,
     operator_norm,
     part,
     partial_transpose,
-    schmidt_decomposition,
     single_cut_partitions,
 )
 from entsup.qstate import Ket, Register, density, ghz, qubit_register
 
 from conftest import loop_partial_transpose, random_hermitian, random_pure_amplitudes
+from oracles import embed_product_vector, schmidt_decomposition
 
 
 def test_hermiticity_is_enforced():

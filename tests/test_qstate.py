@@ -20,10 +20,10 @@ from entsup.qstate import (
     overlap,
     qubit_register,
     superpose,
-    tensor,
 )
 
 from conftest import random_pure_amplitudes
+from oracles import tensor
 
 
 def test_register_validation():

@@ -14,10 +14,9 @@ from entsup.linops import (
     Partition,
     part,
     schmidt_coefficients,
-    schmidt_decomposition,
     single_cut_partitions,
 )
-from entsup.qstate import Ket, Register, basis_ket, density, ghz, qubit_register, tensor
+from entsup.qstate import Ket, Register, basis_ket, density, ghz, qubit_register
 from entsup.quantifiers import (
     DIAGONAL_TOL,
     RobustnessBounds,
@@ -40,7 +39,7 @@ from entsup.witnesses import (
 )
 
 from conftest import loop_partial_transpose, random_pure_amplitudes, unit_kets
-from oracles import diagonal_mixing_scan
+from oracles import diagonal_mixing_scan, schmidt_decomposition, tensor
 
 
 def two_qubit_pure(a, b):

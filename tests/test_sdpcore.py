@@ -178,6 +178,38 @@ def test_certificate_holds_on_random_states(n):
             assert solution.primal_value >= _single_cut_oracle(amps, n) - 1e-6
 
 
+def test_iteration_count_on_random_pure_states():
+    # The step set from the cut negativities needs 2 925 iterations on these
+    # ten states; residual balancing of the step needed 6 350.
+    total = 0
+    for s in range(10):
+        rng = np.random.default_rng([7, 3, s])
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        ket = Ket(qubit_register(3), v / np.linalg.norm(v))
+        problem = build_robustness_sdp(ket, single_cut_partitions(ket.register))
+        solution = solve(problem, tol=1e-6)
+        assert solution.status == "optimal" and check_certificate(problem, solution, tol=1e-6)
+        total += solution.iterations
+    assert total <= 4000
+
+
+def test_near_product_states_are_certified_quickly():
+    # |00> + eps|11> has optimum 2 eps / (1 + eps^2). A step of 1 needs about
+    # 1/eps iterations (28 125 at eps = 1e-4); residual balancing needed
+    # 3 325 over these six states, the step set from the negativity 325.
+    total = 0
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+        amps = np.zeros(4, dtype=complex)
+        amps[0], amps[3] = 1.0, eps
+        ket = Ket(qubit_register(2), amps / np.linalg.norm(amps))
+        problem = build_robustness_sdp(ket, [part(0), part(1)])
+        solution = solve(problem, tol=1e-6)
+        assert solution.status == "optimal" and check_certificate(problem, solution, tol=1e-6)
+        assert solution.primal_value == pytest.approx(2 * eps / (1 + eps**2), abs=1e-6)
+        total += solution.iterations
+    assert total <= 1000
+
+
 def test_one_batched_eigensolve_per_iteration(monkeypatch):
     rho = density(ghz(3, 0.4))
     problem = build_robustness_sdp(rho, single_cut_partitions(rho.register))
@@ -192,8 +224,9 @@ def test_one_batched_eigensolve_per_iteration(monkeypatch):
     assert solution.status == "optimal"
     checks = -(-solution.iterations // CHECK_EVERY)
     assert calls["eigh"] == [(4, 8, 8)] * solution.iterations
-    # Per certificate check: the stacked cones of the lift, then the dual scale.
-    assert calls["eigvalsh"] == [(4, 8, 8), (8, 8)] * checks
+    # The cones at X = 0 set the step; then, per certificate check, the stacked
+    # cones of the lift and the dual scale.
+    assert calls["eigvalsh"] == [(4, 8, 8)] + [(4, 8, 8), (8, 8)] * checks
     calls["eigvalsh"].clear()
     assert check_certificate(problem, solution, tol=1e-6)
     assert calls["eigvalsh"] == [(4, 8, 8)]

@@ -23,9 +23,10 @@ from entsup.supbound import (
     rhs_from_witness_class,
     rhs_from_witness_norm,
 )
-from entsup.witnesses import eval_witness, ghz_witness, maxent_cut_witness, zero_witness
+from entsup.witnesses import eval_witness, ghz_witness, zero_witness
 
 from conftest import random_pure_amplitudes
+from oracles import maxent_cut_witness
 
 
 def test_rhs_from_witness_norm_examples():

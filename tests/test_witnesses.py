@@ -35,7 +35,6 @@ from entsup.witnesses import (
     interference_term,
     max_product_overlap,
     maxent_cut_expectation,
-    maxent_cut_witness,
     negativity_optimal_witness,
     negativity_witness_expectation,
     reflection_expectation,
@@ -44,7 +43,7 @@ from entsup.witnesses import (
 )
 
 from conftest import random_density_matrix, random_hermitian, random_pure_amplitudes, unit_kets
-from oracles import grid_product_overlap_2q
+from oracles import grid_product_overlap_2q, maxent_cut_witness
 
 
 def test_eval_witness_on_ghz_family():
