@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +19,10 @@ DENSITY_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class HermOp:
-    """Dense Hermitian operator over a register.
-
-    The matrix is read-only, so its ascending eigenvalues are computed at most
-    once, on the first call to :meth:`eigenvalues`.
-    """
+    """Dense Hermitian operator over a register."""
 
     register: Register
     matrix: np.ndarray
-    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.complex128)
@@ -44,35 +39,12 @@ class HermOp:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def with_spectrum(
-        cls, register: Register, matrix: np.ndarray, spectrum: np.ndarray
-    ) -> "HermOp":
-        """Operator whose ascending spectrum is known by construction, never solved for."""
-        op = cls(register, matrix)
-        w = np.array(spectrum, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(op, "_eigenvalues", w)
-        return op
-
-    @classmethod
-    def rank_one(cls, register: Register, vector: np.ndarray) -> "HermOp":
-        """|v><v|, whose spectrum {<v|v>, 0, ..., 0} needs no eigensolve."""
-        v = np.asarray(vector)
-        spectrum = np.zeros(register.size)
-        spectrum[-1] = np.vdot(v, v).real
-        return cls.with_spectrum(register, np.outer(v, v.conj()), spectrum)
-
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues (read-only), from one eigensolve at most."""
-        if self._eigenvalues is None:
-            w = np.linalg.eigvalsh(self.matrix)
-            w.setflags(write=False)
-            object.__setattr__(self, "_eigenvalues", w)
-        return self._eigenvalues
+        """Ascending eigenvalues."""
+        return np.linalg.eigvalsh(self.matrix)
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,7 @@ def overlap(psi: Ket, phi: Ket) -> complex:
 
 
 def density(psi: Ket):
-    """Outer product |psi><psi| as a Hermitian operator, spectrum known up front."""
+    """Outer product |psi><psi| as a Hermitian operator."""
     from .linops import HermOp
 
-    return HermOp.rank_one(psi.register, psi.amplitudes)
+    return HermOp(psi.register, np.outer(psi.amplitudes, psi.amplitudes.conj()))

@@ -64,9 +64,8 @@ def pt_profile(
             profile.append((value, bool(s[0] * s[1] <= linops.PSD_TOL)))
             continue
         p.validate(state.register, proper=True)
-        rt = linops.partial_transpose(state, p)
-        value = float(np.sum(np.clip(-rt.eigenvalues(), 0.0, None)))
-        profile.append((value, linops.is_psd(rt, linops.PSD_TOL)))
+        w = linops.partial_transpose(state, p).eigenvalues()
+        profile.append((float(np.sum(np.clip(-w, 0.0, None))), bool(w[0] >= -linops.PSD_TOL)))
     return profile
 
 

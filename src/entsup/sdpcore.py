@@ -36,12 +36,14 @@ from .qstate import Ket, density
 
 DEFAULT_TOL = 1e-6
 FEASIBILITY_TOL = 1e-7
-MAX_DIMENSION = 256
+# Largest variable dimension. One solve of a random pure state, all single cuts, took
+# 3-15 s at d = 32, 14-25 s at d = 64 and 109-133 s at d = 128 on a 2-vCPU machine.
+MAX_DIMENSION = 64
 CHECK_EVERY = 25
 
 
 def default_tolerance(dim: int) -> float:
-    """Honest accuracy targets at desk scale: 1e-6 up to 16, 1e-4 up to 256."""
+    """Honest accuracy targets at desk scale: 1e-6 up to 16, 1e-4 above."""
     return 1e-6 if dim <= 16 else 1e-4
 
 
@@ -83,7 +85,10 @@ class SdpProblem:
 
 @dataclass(eq=False)
 class SdpSolution:
+    """Feasible primal X, feasible dual stack Z (Z_i >= 0, sum_i Z_i^{T_i} <= I), values, gap."""
+
     x_opt: np.ndarray
+    dual_stack: np.ndarray
     primal_value: float
     dual_value: float
     gap: float
@@ -149,24 +154,32 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = 200_000
 
         if iterations % CHECK_EVERY == 0 or iterations == max_iter:
             neg = _scaled_outer(v, np.clip(-w, 0.0, None) / step)
-            primal, dual, x_feas = _certificate_attempt(problem, x, neg)
+            primal, dual, x_feas, z = _certificate_attempt(problem, x, neg)
             gap = primal - dual
             if gap <= tol:
-                return SdpSolution(x_feas, primal, dual, gap, iterations, "optimal")
+                return SdpSolution(x_feas, z, primal, dual, gap, iterations, "optimal")
             if best is None or gap < best.gap:
-                best = SdpSolution(x_feas, primal, dual, gap, iterations, "max_iter")
+                best = SdpSolution(x_feas, z, primal, dual, gap, iterations, "max_iter")
 
     best.iterations = iterations
     return best
 
 
 def check_certificate(problem: SdpProblem, solution: SdpSolution, tol: float) -> bool:
-    """Re-verify feasibility and the gap bound with fresh eigensolves."""
-    x = solution.x_opt
+    """Re-verify both points, their values and the gap bound with fresh eigensolves."""
+    x, z = solution.x_opt, solution.dual_stack
     if np.linalg.eigvalsh(problem.cones(x))[:, 0].min() < -FEASIBILITY_TOL:
         return False
+    if np.linalg.eigvalsh(z)[:, 0].min() < -FEASIBILITY_TOL:
+        return False
+    pulled = problem.transpose(z)
+    if np.linalg.eigvalsh(pulled.sum(axis=0))[-1] > 1.0 + FEASIBILITY_TOL:
+        return False
     primal = float(np.trace(x).real)
-    if abs(primal - solution.primal_value) > max(1e-9, 1e-9 * abs(primal)):
+    dual = -float(np.vdot(problem.offsets, pulled).real)
+    values = (primal, dual, primal - dual)
+    claimed = (solution.primal_value, solution.dual_value, solution.gap)
+    if any(abs(v - c) > max(1e-9, 1e-9 * abs(v)) for v, c in zip(values, claimed)):
         return False
     if solution.dual_value > solution.primal_value + 1e-8:
         return False
@@ -179,7 +192,7 @@ def _scaled_outer(v, w):
 
 
 def _certificate_attempt(problem, x, neg):
-    """Build a feasible primal point and a feasible dual point from iterates."""
+    """Build a feasible primal point and a feasible dual stack (``neg``, scaled in place)."""
     primal, x_feas = _feasible_lift(problem, x)
     pulled = problem.transpose(neg)
     total = pulled.sum(axis=0)
@@ -188,8 +201,8 @@ def _certificate_attempt(problem, x, neg):
     # The dual point needs I - theta * total >= 0; take the largest such theta <= 1.
     lam_max = float(np.linalg.eigvalsh(total)[-1])
     theta = 1.0 if lam_max <= 1.0 else 1.0 / lam_max
-    dual = -theta * const
-    return primal, dual, x_feas
+    neg *= theta
+    return primal, -theta * const, x_feas, neg
 
 
 def _feasible_lift(problem, x):

@@ -79,25 +79,13 @@ class ProductSearchConfig:
 def zero_witness(register) -> Witness:
     """The trivial witness; useful as the optimal witness of a PPT state."""
     d = register.size
-    op = HermOp.with_spectrum(register, np.zeros((d, d)), np.zeros(d))
-    return Witness(op, class_bounds=(0.0, 0.0), cap_identity=True)
+    return Witness(HermOp(register, np.zeros((d, d))), class_bounds=(0.0, 0.0), cap_identity=True)
 
 
 def _reflection_witness(register, chi: np.ndarray) -> Witness:
-    """Witness I - 2|chi><chi| of a unit vector chi, in class ``REFLECTION_CLASS``.
-
-    The spectrum is attached by construction, so the class check with the
-    W <= I cap costs no eigensolve.
-    """
+    """Witness I - 2|chi><chi| of a unit vector chi, in class ``REFLECTION_CLASS``."""
     _check_unit(chi)
-    d = register.size
-    spectrum = np.ones(d)
-    spectrum[0] = -1.0
-    op = HermOp.with_spectrum(
-        register,
-        np.eye(d, dtype=np.complex128) - 2.0 * np.outer(chi, chi.conj()),
-        spectrum,
-    )
+    op = HermOp(register, np.eye(register.size) - 2.0 * np.outer(chi, chi.conj()))
     return Witness(op, class_bounds=REFLECTION_CLASS, cap_identity=True)
 
 

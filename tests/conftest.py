@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from entsup.qstate import Ket, Register
+
+# Fixed draws and no example database, so a run's result depends on the code alone.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def loop_partial_transpose(matrix: np.ndarray, dims, axes) -> np.ndarray:

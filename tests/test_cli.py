@@ -24,6 +24,7 @@ from entsup.cli import (
 from entsup.linops import single_cut_partitions
 from entsup.qstate import Ket, Register, density, ghz, qubit_register
 from entsup.quantifiers import pt_profile, rg_lower_pure, rg_lower_via_witness
+from entsup.sdpcore import MAX_DIMENSION
 from entsup.supbound import SweepRecord, SweepSummary
 
 from conftest import random_pure_amplitudes, unit_kets
@@ -479,11 +480,12 @@ def test_best_witness_lower_matches_dense_witnesses(ket):
     assert cut == dense_cut
 
 
-def test_quantify_above_sdp_limit_is_a_partial_result(tmp_path, capsys):
-    # 9 qubits: every value but the SDP comes from the ket; the SDP refuses
-    # dimension 512 before any 512 x 512 density exists.
-    ket = Ket(qubit_register(9), random_pure_amplitudes(np.random.default_rng(9), 512))
-    path = write_state(tmp_path, "q9.json", ket)
+@pytest.mark.parametrize("n", [7, 9])
+def test_quantify_above_sdp_limit_is_a_partial_result(tmp_path, capsys, n):
+    # Every value but the SDP comes from the ket; the SDP refuses the
+    # dimension before any d x d density exists.
+    ket = Ket(qubit_register(n), random_pure_amplitudes(np.random.default_rng(n), 2**n))
+    path = write_state(tmp_path, f"q{n}.json", ket)
     code, peak = traced_peak(lambda: main(["quantify", path, "--quantifier", "all"]))
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
@@ -498,7 +500,7 @@ def test_quantify_above_sdp_limit_is_a_partial_result(tmp_path, capsys):
     assert rob["lower"] == pytest.approx(oracle_lower, abs=1e-12)
     assert rob["upper_certified"] is True and rob["upper"] >= rob["lower"]
     assert rob["ppt_sdp"] is None
-    assert "limited to dimension 256, got 512" in rob["ppt_sdp_error"]
+    assert f"limited to dimension {MAX_DIMENSION}, got {2**n}" in rob["ppt_sdp_error"]
     assert "ppt_sdp_best" not in rob
 
 

@@ -371,7 +371,7 @@ def test_rg_ppt_sdp_trivial_cases():
 
 
 def test_rg_ppt_sdp_rejects_oversize():
-    rho = density(ghz(9, 0.0))  # dimension 512 > 256
+    rho = density(ghz(9, 0.0))  # above the SDP's dimension limit
     d = rho.register.size
     assert d == 512
     with pytest.raises(ValueError):

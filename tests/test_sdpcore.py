@@ -1,5 +1,7 @@
 """The dense SDP kernel against an independent bisection-feasibility oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from entsup.linops import HermOp, part, single_cut_partitions
 from entsup.qstate import Ket, Register, basis_ket, density, ghz, qubit_register
 from entsup.sdpcore import (
     CHECK_EVERY,
+    MAX_DIMENSION,
     SdpSolution,
     build_robustness_sdp,
     check_certificate,
@@ -100,6 +103,7 @@ def test_certificate_rejects_violated_constraint():
     solution = solve(problem, tol=1e-6)
     spoiled = SdpSolution(
         x_opt=solution.x_opt - 0.1 * np.eye(4),
+        dual_stack=solution.dual_stack,
         primal_value=solution.primal_value - 0.4,
         dual_value=solution.dual_value - 0.4,
         gap=solution.gap,
@@ -114,6 +118,7 @@ def test_certificate_rejects_large_gap():
     solution = solve(problem, tol=1e-6)
     wide = SdpSolution(
         x_opt=solution.x_opt,
+        dual_stack=solution.dual_stack,
         primal_value=solution.primal_value,
         dual_value=solution.primal_value - 1e-5,
         gap=1e-5,
@@ -121,6 +126,27 @@ def test_certificate_rejects_large_gap():
         status="optimal",
     )
     assert not check_certificate(problem, wide, tol=1e-6)
+    stopped = solve(problem, tol=1e-12, max_iter=25)
+    assert stopped.gap > 1e-6
+    assert not check_certificate(problem, replace(stopped, gap=0.0), tol=1e-6)
+
+
+def test_certificate_rejects_a_tampered_dual():
+    problem = bell_problem()
+    solution = solve(problem, tol=1e-6)
+    z = solution.dual_stack
+    # Cone 0 (X >= 0) has offset 0, so moving Z_0 along I keeps the dual value
+    # and breaks only sum_i Z_i^{T_i} <= I, or only Z_0 >= 0.
+    shift = np.zeros_like(z)
+    shift[0] = np.eye(4)
+    tampered = [
+        replace(solution, dual_stack=2.0 * z),
+        replace(solution, dual_value=solution.primal_value, gap=0.0),
+        replace(solution, dual_stack=z + shift),
+        replace(solution, dual_stack=z - shift),
+    ]
+    for bad in tampered:
+        assert not check_certificate(problem, bad, tol=1e-6)
 
 
 def test_max_iter_status():
@@ -229,7 +255,8 @@ def test_one_batched_eigensolve_per_iteration(monkeypatch):
     assert calls["eigvalsh"] == [(4, 8, 8)] + [(4, 8, 8), (8, 8)] * checks
     calls["eigvalsh"].clear()
     assert check_certificate(problem, solution, tol=1e-6)
-    assert calls["eigvalsh"] == [(4, 8, 8)]
+    # The primal cones, the dual stack and its summed pull-back.
+    assert calls["eigvalsh"] == [(4, 8, 8), (4, 8, 8), (8, 8)]
 
 
 def test_max_iter_must_be_positive():
@@ -245,5 +272,5 @@ def test_tolerance_must_be_finite_and_positive(tol):
 
 def test_dimension_limit_is_checked_before_building():
     rho = density(ghz(9, 0.0))
-    with pytest.raises(ValueError, match="limited to dimension 256"):
+    with pytest.raises(ValueError, match=f"limited to dimension {MAX_DIMENSION},"):
         build_robustness_sdp(rho, [part(0)])

@@ -244,27 +244,6 @@ def test_maxent_cut_witness_values(rng):
     assert np.max(np.abs(wz.op.matrix)) == 0.0
 
 
-def test_constructed_witnesses_carry_their_spectrum(monkeypatch, rng):
-    solves = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
-            solves.append(a.shape)
-            return _solve(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    psi = Ket(qubit_register(3), random_pure_amplitudes(rng, 8))
-    built = [
-        ghz_witness(3, 0.7),
-        maxent_cut_witness(psi, part(1)),
-        zero_witness(qubit_register(3)),
-    ]
-    spectra = [w.op.eigenvalues() for w in built]
-    assert solves == []  # the class checks read the attached spectra
-    monkeypatch.undo()
-    for w, spec in zip(built, spectra):
-        assert np.allclose(spec, np.linalg.eigvalsh(w.op.matrix), atol=1e-12)
-
-
 def test_reflection_witness_needs_a_unit_vector():
     with pytest.raises(ValueError, match="squared norm"):
         _reflection_witness(qubit_register(2), np.array([1.0, 0.0, 0.0, 1e-6]))
