@@ -184,12 +184,13 @@ def cmd_quantify(args) -> tuple[dict, int]:
         "partitions": [sorted(p.transposed) for p in parts],
         "renormalized_input": renormalized_input,
     }
-    return _run_report("quantify", config, results, args.seed), exit_code
+    return _run_report("quantify", config, results), exit_code
 
 
 def cmd_ghz_saturation(args) -> tuple[dict, int]:
     if args.n < 2:
         raise StateFileError(f"--n must be at least 2, got {args.n}")
+    config = {"n": args.n, "phi": args.phi}
     try:
         report = supbound.ghz_saturation_experiment(args.n, args.phi)
     except SaturationFailureError as err:
@@ -198,12 +199,8 @@ def cmd_ghz_saturation(args) -> tuple[dict, int]:
             "lower": err.lower,
             "upper": err.upper,
         }
-        config = {"n": args.n, "phi": args.phi}
-        return _run_report("ghz-saturation", config, results, args.seed), EXIT_SATURATION
-    config = {"n": args.n, "phi": args.phi}
-    return _run_report(
-        "ghz-saturation", config, {"report": dataclasses.asdict(report)}, args.seed
-    ), EXIT_OK
+        return _run_report("ghz-saturation", config, results), EXIT_SATURATION
+    return _run_report("ghz-saturation", config, {"report": dataclasses.asdict(report)}), EXIT_OK
 
 
 def cmd_sweep(args) -> tuple[dict, int]:
@@ -211,20 +208,17 @@ def cmd_sweep(args) -> tuple[dict, int]:
         raise StateFileError(f"--samples must be at least 1, got {args.samples}")
     kind = "negativity" if args.quantifier == "negativity" else "generalized_robustness"
     config = QuantifierConfig(kind=kind)
-    mode = "renormalize" if args.renormalize else "raw"
     try:
         summary = supbound.random_sweep(
             config,
             qubits=args.qubits,
             samples=args.samples,
             seed=args.seed,
-            mode=mode,
         )
     except BoundViolationError as err:
         results = {"error": str(err), "instance": err.instance}
-        cfg = {"quantifier": args.quantifier, "qubits": args.qubits,
-               "samples": args.samples, "mode": mode}
-        return _run_report("sweep", cfg, results, args.seed), EXIT_VIOLATION
+        cfg = {"quantifier": args.quantifier, "qubits": args.qubits, "samples": args.samples}
+        return _run_report("sweep", cfg, results, seed=args.seed), EXIT_VIOLATION
     if args.csv:
         _write_csv(args.csv, summary)
     results = {
@@ -234,7 +228,7 @@ def cmd_sweep(args) -> tuple[dict, int]:
         "violations": summary.violations,
         "config": summary.config,
     }
-    return _run_report("sweep", results["config"], results, args.seed), EXIT_OK
+    return _run_report("sweep", results["config"], results, seed=args.seed), EXIT_OK
 
 
 def _write_csv(path: str, summary) -> None:
@@ -247,12 +241,13 @@ def _write_csv(path: str, summary) -> None:
             )
 
 
-def _run_report(command: str, config: dict, results: dict, seed: int) -> dict:
+def _run_report(command: str, config: dict, results: dict, **extra) -> dict:
+    """The JSON report; ``sweep``, the one command that draws samples, adds its seed."""
     return {
         "command": command,
         "config": config,
         "version": __version__,
-        "seed": seed,
+        **extra,
         "results": results,
     }
 
@@ -283,12 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="SDP certificate tolerance (default: dimension-based)",
     )
-    quantify.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sat = sub.add_parser("ghz-saturation", help="run the GHZ saturation experiment")
     sat.add_argument("--n", type=int, required=True, help="qubit count (>= 2)")
     sat.add_argument("--phi", type=float, default=0.0, help="relative phase in radians")
-    sat.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sweep = sub.add_parser("sweep", help="random stress sweep of the bounds")
     sweep.add_argument(
@@ -297,12 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--samples", type=int, default=1000)
     sweep.add_argument("--qubits", type=int, default=2)
     sweep.add_argument("--csv", metavar="PATH", help="write per-sample rows to PATH")
-    sweep.add_argument(
-        "--renormalize",
-        action=argparse.BooleanOptionalAction,
-        default=supbound.DEFAULT_GAMMA_MODE == "renormalize",
-        help="evaluate bounds on the renormalized superposition (default)",
-    )
     sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser

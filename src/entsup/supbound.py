@@ -36,8 +36,6 @@ VIOLATION_TOL = 1e-8
 # Largest sweep in rows (samples x cuts for negativity), all held in memory: at the
 # limit a 2-qubit sweep with a CSV peaked at 708 MiB RSS on a 2-vCPU machine.
 MAX_SWEEP_ROWS = 10**6
-GammaMode = Literal["renormalize", "raw"]
-DEFAULT_GAMMA_MODE: GammaMode = "renormalize"
 
 
 class BoundViolationError(RuntimeError):
@@ -123,52 +121,48 @@ def check_bound_negativity(
     phi: Ket,
     coeffs: SuperposCoeffs,
     partition: Partition,
-    mode: GammaMode = DEFAULT_GAMMA_MODE,
 ) -> BoundReport:
     """Evaluate the negativity superposition bound for one instance.
 
-    The witness side is fully constructive: the optimal witness of the
-    superposed state fixes the cross term through its operator norm, and its
-    expectation in the superposed state is that state's negativity; both come
-    from the state's Schmidt coefficients
-    (:func:`entsup.witnesses.negativity_witness_expectation`). In
-    ``renormalize`` mode (default) the left side is the negativity of the unit
-    state; ``raw`` keeps the natural squared norm of a + b branches as a
-    prefactor, matching the derivation for non-orthogonal branches.
+    With gamma = a psi + b phi and W the optimal witness of gamma/||gamma||,
+    the report checks ||gamma||^2 N(gamma/||gamma||) = -<gamma|W|gamma>
+    <= |a|^2 N(psi) + |b|^2 N(phi) + 2|a||b| ||W||. The witness side is fully
+    constructive: the negativity of the unit state and ||W|| both come from
+    its Schmidt coefficients
+    (:func:`entsup.witnesses.negativity_witness_expectation`).
     """
-    return _negativity_reports(psi, phi, coeffs, [partition], mode)[0]
+    return _negativity_reports(psi, phi, coeffs, [partition])[0]
 
 
-def _negativity_reports(psi, phi, coeffs, partitions, mode: GammaMode) -> list[BoundReport]:
+def _negativity_reports(psi, phi, coeffs, partitions) -> list[BoundReport]:
     """The negativity bound at each cut, with gamma formed once for all of them."""
     profiles = [quantifiers.pt_profile(branch, partitions) for branch in (psi, phi)]
-    gamma_norm, gamma_hat, scale = _superposition(psi, phi, coeffs, mode)
+    gamma_norm, gamma_hat = _superposition(psi, phi, coeffs)
     reports = []
     for p, (e_psi, _), (e_phi, _) in zip(partitions, *profiles):
         lhs, w_norm = 0.0, 0.0
         if gamma_hat is not None:
             lhs, w_norm = negativity_witness_expectation(gamma_hat, p)
         reports.append(_make_report(
-            scale * lhs,
+            gamma_norm * lhs,
             _rhs_terms(coeffs, e_psi, e_phi, w_norm),
             "witness-norm",
             gamma_norm,
-            instance=lambda p=p: _instance_payload(psi, phi, coeffs, partition=p, mode=mode),
+            instance=lambda p=p: _instance_payload(psi, phi, coeffs, partition=p),
         ))
     return reports
 
 
-def _superposition(psi, phi, coeffs, mode: GammaMode):
-    """gamma = a psi + b phi once: its squared norm, unit ket and left-side scale.
+def _superposition(psi, phi, coeffs):
+    """gamma = a psi + b phi once: its squared norm and unit ket.
 
-    The unit ket is None when gamma vanishes; the scale is 1 in ``renormalize``
-    mode and the squared norm in ``raw`` mode.
+    The squared norm scales every left side; the unit ket is None when gamma vanishes.
     """
     gamma = superpose(coeffs, psi, phi)
     gamma_norm = gamma.norm() ** 2
     if gamma_norm < 1e-12:
-        return gamma_norm, None, 0.0
-    return gamma_norm, gamma.normalized(), 1.0 if mode == "renormalize" else gamma_norm
+        return gamma_norm, None
+    return gamma_norm, gamma.normalized()
 
 
 def check_bound_k(
@@ -180,8 +174,12 @@ def check_bound_k(
     e_phi: float,
     e_gamma: float,
 ) -> BoundReport:
-    """Evaluate the spectral-class bound with caller-supplied quantifier values."""
-    gamma_norm = _superposition(psi, phi, coeffs, "raw")[0]
+    """Evaluate the spectral-class bound with caller-supplied quantifier values.
+
+    ``e_gamma`` is the left side ||gamma||^2 E(gamma/||gamma||) for
+    gamma = a psi + b phi, not E(gamma/||gamma||).
+    """
+    gamma_norm = _superposition(psi, phi, coeffs)[0]
     return _class_report(psi, phi, coeffs, witness_k(w), e_psi, e_phi, e_gamma, gamma_norm)
 
 
@@ -249,7 +247,6 @@ def random_sweep(
     qubits: int,
     samples: int,
     seed: int = DEFAULT_SEED,
-    mode: GammaMode = DEFAULT_GAMMA_MODE,
 ) -> SweepSummary:
     """Stress the applicable bound on random instances; any violation raises.
 
@@ -274,9 +271,9 @@ def random_sweep(
         coeffs = SuperposCoeffs(math.cos(theta), cmath.exp(1j * chi) * math.sin(theta))
         try:
             if config.kind == "negativity":
-                reports = _negativity_reports(psi, phi, coeffs, partitions, mode)
+                reports = _negativity_reports(psi, phi, coeffs, partitions)
             else:
-                reports = [_robustness_report(psi, phi, coeffs, mode)]
+                reports = [_robustness_report(psi, phi, coeffs)]
         except BoundViolationError as err:
             err.instance["sample_index"] = index
             err.instance["seed"] = seed
@@ -298,13 +295,12 @@ def random_sweep(
             "kind": config.kind,
             "qubits": qubits,
             "partitions": sorted(sorted(p.transposed) for p in partitions),
-            "mode": mode,
         },
         records=records,
     )
 
 
-def _robustness_report(psi, phi, coeffs, mode):
+def _robustness_report(psi, phi, coeffs):
     """Class-k bound with per-cut maximally-entangled witnesses.
 
     For pure states the witnessed value of the best single cut equals the
@@ -313,8 +309,8 @@ def _robustness_report(psi, phi, coeffs, mode):
     the zero witness (k = 0) when no cut witnesses anything.
     """
     e_psi, e_phi = rg_lower_pure(psi)[0], rg_lower_pure(phi)[0]
-    gamma_norm, gamma_hat, scale = _superposition(psi, phi, coeffs, mode)
-    e_gamma = 0.0 if gamma_hat is None else scale * rg_lower_pure(gamma_hat)[0]
+    gamma_norm, gamma_hat = _superposition(psi, phi, coeffs)
+    e_gamma = 0.0 if gamma_hat is None else gamma_norm * rg_lower_pure(gamma_hat)[0]
     k = max(REFLECTION_CLASS) if e_gamma > 0 else 0.0
     return _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma, gamma_norm)
 

@@ -120,6 +120,8 @@ def test_quantify_malformed_file(tmp_path, capsys):
     assert main(["quantify", str(path)]) == EXIT_INPUT
     path.write_text("{not json")
     assert main(["quantify", str(path)]) == EXIT_INPUT
+    good = write_state(tmp_path, "bell.json", ghz(2, 0.0))
+    assert main(["quantify", good, "--seed", "1"]) == EXIT_INPUT  # flag removed
     capsys.readouterr()
     dense = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
     bad_docs = [
@@ -153,6 +155,7 @@ def test_ghz_saturation_command(capsys):
 
 def test_ghz_saturation_usage_error(capsys):
     assert main(["ghz-saturation", "--n", "1"]) == EXIT_INPUT
+    assert main(["ghz-saturation", "--n", "3", "--seed", "1"]) == EXIT_INPUT  # flag removed
     capsys.readouterr()
 
 
@@ -193,6 +196,8 @@ def test_sweep_csv_is_streamed(tmp_path):
 def test_sweep_usage_error(capsys):
     assert main(["sweep", "--samples", "0"]) == EXIT_INPUT
     assert main(["sweep", "--samples", "5", "--threads", "4"]) == EXIT_INPUT  # flag removed
+    assert main(["sweep", "--samples", "5", "--renormalize"]) == EXIT_INPUT  # flag removed
+    assert main(["sweep", "--samples", "5", "--no-renormalize"]) == EXIT_INPUT  # flag removed
     capsys.readouterr()
 
 
@@ -371,12 +376,17 @@ def test_oversized_registers_are_refused_before_allocation(tmp_path, capsys):
 
 
 def test_report_is_json_with_metadata(tmp_path, capsys):
+    # Only the sweep draws random numbers, so only its report carries a seed.
     path = write_state(tmp_path, "bell.json", ghz(2, 0.0))
     code, report = run_cli(capsys, "quantify", path, "--quantifier", "negativity")
     assert code == EXIT_OK
     assert report["command"] == "quantify"
     assert report["version"]
-    assert "seed" in report and "duration_s" in report
+    assert "seed" not in report and "duration_s" in report
+    code, report = run_cli(capsys, "ghz-saturation", "--n", "3")
+    assert code == EXIT_OK and "seed" not in report
+    code, report = run_cli(capsys, "sweep", "--samples", "2", "--seed", "7")
+    assert code == EXIT_OK and report["seed"] == 7
 
 
 def _w_state_in_local_frame(rng, n):

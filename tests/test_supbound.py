@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from entsup import supbound
 from entsup.linops import part, single_cut_partitions
-from entsup.qstate import Ket, SuperposCoeffs, basis_ket, ghz, qubit_register, superpose
-from entsup.quantifiers import QuantifierConfig
+from entsup.qstate import Ket, SuperposCoeffs, basis_ket, density, ghz, qubit_register, superpose
+from entsup.quantifiers import QuantifierConfig, negativity
 from entsup.supbound import (
     BoundViolationError,
     _robustness_report,
@@ -73,6 +73,45 @@ def test_two_qubit_saturation_family():
         assert report.gamma_norm == pytest.approx(1.0, abs=1e-12)
 
 
+def test_saturation_scales_with_the_coefficients():
+    # (0.06, 0.08) is (0.6, 0.8) scaled by 1/10: gamma = 0.06|11> + 0.08|00> has
+    # ||gamma||^2 = 0.01, so both sides are 0.48 / 100.
+    reg = qubit_register(2)
+    one_one, zero_zero = basis_ket(reg, (1, 1)), basis_ket(reg, (0, 0))
+    for a, b, value in ((0.06, 0.08, 0.0048), (6.0, 8.0, 48.0)):
+        report = check_bound_negativity(one_one, zero_zero, SuperposCoeffs(a, b), part(0))
+        assert report.lhs == pytest.approx(value, rel=1e-12)
+        assert report.rhs == pytest.approx(value, rel=1e-12)
+        assert report.gamma_norm == pytest.approx(a * a + b * b, rel=1e-12)
+        assert report.saturated
+
+
+@given(
+    qubits=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0.05, math.pi / 2 - 0.05),
+    chi=st.floats(0.0, 2 * math.pi),
+    log_scale=st.floats(math.log(1e-3), math.log(1e3)),
+)
+@settings(max_examples=60, deadline=None)
+def test_reports_scale_quadratically_with_the_coefficients(qubits, seed, theta, chi, log_scale):
+    gen = np.random.default_rng(seed)
+    reg = qubit_register(qubits)
+    psi = Ket(reg, random_pure_amplitudes(gen, reg.size))
+    phi = Ket(reg, random_pure_amplitudes(gen, reg.size))
+    a, b = math.cos(theta), cmath.exp(1j * chi) * math.sin(theta)
+    lam = math.exp(log_scale)
+    unit, scaled = SuperposCoeffs(a, b), SuperposCoeffs(lam * a, lam * b)
+    for report in (
+        lambda c: check_bound_negativity(psi, phi, c, part(qubits - 1)),
+        lambda c: _robustness_report(psi, phi, c),
+    ):
+        base, got = report(unit), report(scaled)
+        for field in ("lhs", "rhs", "gap"):
+            want = lam**2 * getattr(base, field)
+            assert abs(getattr(got, field) - want) <= 1e-9 * lam**2 * base.rhs, field
+
+
 def test_single_branch_case():
     bell = ghz(2, 0.0)
     report = check_bound_negativity(bell, bell, SuperposCoeffs(1.0, 0.0), part(0))
@@ -96,16 +135,16 @@ def test_random_negativity_instances_hold(rng):
         assert report.gap >= -1e-8
 
 
-def test_raw_mode_scales_lhs_by_gamma_norm(rng):
+def test_lhs_is_gamma_norm_times_unit_negativity(rng):
     reg = qubit_register(2)
     psi = Ket(reg, random_pure_amplitudes(rng, 4))
     phi = Ket(reg, random_pure_amplitudes(rng, 4))
     coeffs = SuperposCoeffs(0.8, 0.6j)
-    renorm = check_bound_negativity(psi, phi, coeffs, part(0), mode="renormalize")
-    raw = check_bound_negativity(psi, phi, coeffs, part(0), mode="raw")
-    assert raw.gamma_norm == pytest.approx(renorm.gamma_norm, abs=1e-14)
-    assert raw.lhs == pytest.approx(raw.gamma_norm * renorm.lhs, abs=1e-12)
-    assert raw.rhs == pytest.approx(renorm.rhs, abs=1e-12)
+    report = check_bound_negativity(psi, phi, coeffs, part(0))
+    gamma = superpose(coeffs, psi, phi)
+    assert report.gamma_norm == pytest.approx(gamma.norm() ** 2, abs=1e-14)
+    dense = negativity(density(gamma.normalized()), part(0))
+    assert report.lhs == pytest.approx(report.gamma_norm * dense, abs=1e-12)
 
 
 def test_check_bound_k_ghz_instance():
@@ -179,7 +218,7 @@ def test_ghz_saturation_experiment_examples():
         ghz_saturation_experiment(1)
 
 
-def _dense_robustness_report(psi, phi, coeffs, mode):
+def _dense_robustness_report(psi, phi, coeffs):
     """The sweep's robustness report through dense cut witnesses and check_bound_k."""
     def best(ket):
         value, witness = 0.0, zero_witness(ket.register)
@@ -195,7 +234,7 @@ def _dense_robustness_report(psi, phi, coeffs, mode):
     e_gamma, w = 0.0, zero_witness(psi.register)
     if norm >= 1e-12:
         e_hat, w = best(gamma.normalized())
-        e_gamma = e_hat if mode == "renormalize" else norm * e_hat
+        e_gamma = norm * e_hat
     return check_bound_k(psi, phi, coeffs, w, best(psi)[0], best(phi)[0], e_gamma)
 
 
@@ -212,12 +251,11 @@ def test_robustness_report_matches_dense_witnesses(rng):
         phi = Ket(reg, random_pure_amplitudes(rng, 8))
         cases.append((psi, phi, SuperposCoeffs(0.8, cmath.exp(0.3j) * 0.6)))
     for psi, phi, coeffs in cases:
-        for mode in ("renormalize", "raw"):
-            got = _robustness_report(psi, phi, coeffs, mode)
-            want = _dense_robustness_report(psi, phi, coeffs, mode)
-            for field in ("lhs", "term_psi", "term_phi", "cross_term", "rhs", "gap", "gamma_norm"):
-                assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12)
-            assert got.saturated == want.saturated
+        got = _robustness_report(psi, phi, coeffs)
+        want = _dense_robustness_report(psi, phi, coeffs)
+        for field in ("lhs", "term_psi", "term_phi", "cross_term", "rhs", "gap", "gamma_norm"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12)
+        assert got.saturated == want.saturated
 
 
 def test_ghz_saturation_experiment_builds_no_dense_operator():
