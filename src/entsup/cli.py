@@ -11,6 +11,7 @@ import cmath
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -28,6 +29,8 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_SATURATION = 4
 EXIT_VIOLATION = 5
+
+CSV_HEADER = "index,abs_a,abs_b,lhs,rhs,gap\n"
 
 
 class StateFileError(ValueError):
@@ -206,21 +209,18 @@ def cmd_ghz_saturation(args) -> tuple[dict, int]:
 def cmd_sweep(args) -> tuple[dict, int]:
     if args.samples < 1:
         raise StateFileError(f"--samples must be at least 1, got {args.samples}")
+    if args.qubits < 2:
+        raise StateFileError(f"--qubits must be at least 2, got {args.qubits}")
     kind = "negativity" if args.quantifier == "negativity" else "generalized_robustness"
     config = QuantifierConfig(kind=kind)
+    blocks = supbound.sweep_blocks(config, args.qubits, args.samples, args.seed)
     try:
-        summary = supbound.random_sweep(
-            config,
-            qubits=args.qubits,
-            samples=args.samples,
-            seed=args.seed,
-        )
+        gaps = _consume_sweep(blocks, args.csv)
     except BoundViolationError as err:
         results = {"error": str(err), "instance": err.instance}
         cfg = {"quantifier": args.quantifier, "qubits": args.qubits, "samples": args.samples}
         return _run_report("sweep", cfg, results, seed=args.seed), EXIT_VIOLATION
-    if args.csv:
-        _write_csv(args.csv, summary)
+    summary = supbound.summarize_sweep(config, args.qubits, args.samples, args.seed, gaps)
     results = {
         "samples": summary.samples,
         "min_gap": summary.min_gap,
@@ -231,14 +231,50 @@ def cmd_sweep(args) -> tuple[dict, int]:
     return _run_report("sweep", results["config"], results, seed=args.seed), EXIT_OK
 
 
+def _consume_sweep(blocks, path: str | None) -> list[np.ndarray]:
+    """Run the sweep's blocks and return their gap columns; rows stream to ``path``.
+
+    The rows go to ``path.part``, opened before the first sample and moved onto
+    ``path`` once the last block passed, so a failed sweep leaves ``path`` as it
+    was. An unwritable target is an input error.
+    """
+    if path is None:
+        return [block.gap for block in blocks]
+    part = path + ".part"
+    try:
+        handle = open(part, "w", encoding="utf-8")
+    except OSError as err:
+        raise StateFileError(f"--csv {path}: {err.strerror or err}") from err
+    try:
+        with handle:
+            handle.write(CSV_HEADER)
+            gaps = []
+            for block in blocks:
+                handle.writelines(_csv_lines(zip(*(column.tolist() for column in block))))
+                gaps.append(block.gap)
+        os.replace(part, path)
+    except OSError as err:
+        os.remove(part)
+        raise StateFileError(f"--csv {path}: {err.strerror or err}") from err
+    except BaseException:
+        os.remove(part)
+        raise
+    return gaps
+
+
+def _csv_lines(rows):
+    """One CSV line per (index, abs_a, abs_b, lhs, rhs, gap) row, floats at full precision."""
+    for index, abs_a, abs_b, lhs, rhs, gap in rows:
+        yield f"{index},{abs_a!r},{abs_b!r},{lhs!r},{rhs!r},{gap!r}\n"
+
+
 def _write_csv(path: str, summary) -> None:
-    """Write one row per record as it is formatted, so no copy of the table is held."""
+    """Write a finished summary's records as the CSV that ``sweep --csv`` writes."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("index,abs_a,abs_b,lhs,rhs,gap\n")
-        for rec in summary.records:
-            handle.write(
-                f"{rec.index},{rec.abs_a!r},{rec.abs_b!r},{rec.lhs!r},{rec.rhs!r},{rec.gap!r}\n"
-            )
+        handle.write(CSV_HEADER)
+        handle.writelines(
+            _csv_lines((r.index, r.abs_a, r.abs_b, r.lhs, r.rhs, r.gap) for r in summary.records)
+        )
 
 
 def _run_report(command: str, config: dict, results: dict, **extra) -> dict:

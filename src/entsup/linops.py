@@ -143,14 +143,24 @@ def schmidt_coefficients(psi: Ket, partition: Partition) -> np.ndarray:
     s = psi._schmidt.get(partition)
     if s is None:
         partition.validate(psi.register, proper=True)
-        dims = psi.register.dims
-        axes = sorted(partition.transposed) + sorted(set(range(len(dims))) - partition.transposed)
-        d_a = math.prod(dims[i] for i in partition.transposed)
-        cut = psi.amplitudes.reshape(dims).transpose(axes).reshape(d_a, -1)
-        s = np.linalg.svd(cut, compute_uv=False)
+        s = schmidt_spectra(psi.amplitudes, psi.register.dims, partition)
         s.setflags(write=False)
         psi._schmidt[partition] = s
     return s
+
+
+def schmidt_spectra(amplitudes: np.ndarray, dims, partition: Partition) -> np.ndarray:
+    """Nonincreasing Schmidt coefficients of each ket in a (..., d) stack: one batched SVD.
+
+    Each ket is reshaped to a d_A x d_B matrix, with A the subsystems in ``partition``.
+    """
+    lead = amplitudes.shape[:-1]
+    k = len(lead)
+    rest = sorted(set(range(len(dims))) - partition.transposed)
+    axes = list(range(k)) + [k + i for i in sorted(partition.transposed) + rest]
+    d_a = math.prod(dims[i] for i in partition.transposed)
+    cut = amplitudes.reshape(lead + tuple(dims)).transpose(axes).reshape(lead + (d_a, -1))
+    return np.linalg.svd(cut, compute_uv=False)
 
 
 def matrix_element(op: HermOp, bra: Ket, ket: Ket) -> complex:

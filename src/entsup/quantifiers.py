@@ -10,7 +10,7 @@ import numpy as np
 from . import linops, sdpcore
 from .linops import HermOp, Partition
 from .qstate import Ket, RegisterMismatchError
-from .witnesses import Witness, WitnessClassError, eval_witness, maxent_cut_expectation
+from .witnesses import Witness, WitnessClassError, eval_witness, maxent_cut_value
 
 DIAGONAL_TOL = 1e-10
 
@@ -60,13 +60,17 @@ def pt_profile(
     for p in partitions:
         if isinstance(state, Ket):
             s = linops.schmidt_coefficients(state, p)
-            value = float(np.dot(s[1:], np.cumsum(s[:-1])))
-            profile.append((value, bool(s[0] * s[1] <= linops.PSD_TOL)))
+            profile.append((float(schmidt_negativity(s)), bool(s[0] * s[1] <= linops.PSD_TOL)))
             continue
         p.validate(state.register, proper=True)
         w = linops.partial_transpose(state, p).eigenvalues()
         profile.append((float(np.sum(np.clip(-w, 0.0, None))), bool(w[0] >= -linops.PSD_TOL)))
     return profile
+
+
+def schmidt_negativity(s: np.ndarray) -> np.ndarray:
+    """Negativity sum_{i<j} s_i s_j of a pure state, over the trailing Schmidt axis of s."""
+    return np.vecdot(s[..., 1:], np.cumsum(s[..., :-1], axis=-1))
 
 
 def negativity(state: HermOp | Ket, partition: Partition) -> float:
@@ -145,18 +149,31 @@ def rg_lower_pure(psi: Ket) -> tuple[float, list[int] | None]:
     """Best single-cut witness lower bound on the robustness of a pure state, and its cut.
 
     A cut's value max(0, -<psi|W|psi>) for the W <= I cut witness of
-    :func:`entsup.witnesses.maxent_cut_expectation` comes from the cut's
-    Schmidt coefficients, without building W. The cut is given by its sorted indices,
-    the lowest cut on a tie, or None when no cut witnesses anything.
+    :func:`entsup.witnesses.maxent_cut_expectation` is
+    :func:`entsup.witnesses.maxent_cut_value` of the cut's Schmidt
+    coefficients, so W is never built. The cut is given by its sorted indices,
+    the lowest cut on a tie (:func:`best_single_cut`), or None when no cut
+    witnesses anything.
     """
-    best, best_cut = 0.0, None
-    for cut in linops.single_cut_partitions(psi.register):
-        lower = max(0.0, -maxent_cut_expectation(psi, cut))
-        # A later cut must win by more than rounding, so the lowest cut wins a tie.
-        margin = 0.0 if best_cut is None else 1e-12 * max(1.0, best)
-        if lower > best + margin:
-            best, best_cut = lower, sorted(cut.transposed)
-    return best, best_cut
+    cuts = linops.single_cut_partitions(psi.register)
+    values = np.array([maxent_cut_value(linops.schmidt_coefficients(psi, c)) for c in cuts])
+    best, index = best_single_cut(values)
+    return float(best), None if index < 0 else sorted(cuts[index].transposed)
+
+
+def best_single_cut(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest positive value over the trailing cut axis, and its position (-1 if none).
+
+    A later cut must win by more than rounding, so the lowest cut wins a tie.
+    """
+    best = np.zeros(values.shape[:-1])
+    index = np.full(values.shape[:-1], -1)
+    for j in range(values.shape[-1]):
+        margin = np.where(index < 0, 0.0, 1e-12 * np.maximum(1.0, best))
+        wins = values[..., j] > best + margin
+        best = np.where(wins, values[..., j], best)
+        index = np.where(wins, j, index)
+    return best, index
 
 
 def rg_upper_pure(psi: Ket) -> tuple[float, str]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from . import linops, quantifiers
 from .linops import Partition
 from .qstate import (
     Ket,
-    Register,
     SuperposCoeffs,
     basis_ket,
     complex_pairs,
@@ -26,16 +25,21 @@ from .witnesses import (
     DEFAULT_SEED,
     REFLECTION_CLASS,
     Witness,
+    maxent_cut_value,
     negativity_witness_expectation,
+    negativity_witness_values,
     reflection_expectation,
     witness_k,
 )
 
 SATURATION_TOL = 1e-6
 VIOLATION_TOL = 1e-8
-# Largest sweep in rows (samples x cuts for negativity), all held in memory: at the
-# limit a 2-qubit sweep with a CSV peaked at 708 MiB RSS on a 2-vCPU machine.
+# Largest sweep in rows (samples x cuts for negativity). The CLI holds one block of
+# rows and the gap column, so this bounds the run time: at the limit a 2-qubit sweep
+# with a CSV took 32 s at 67 MiB peak RSS on a 2-vCPU machine.
 MAX_SWEEP_ROWS = 10**6
+# A sweep block stacks at most this many amplitudes per branch, and one sample at least.
+SWEEP_BLOCK_AMPLITUDES = 2**16
 
 
 class BoundViolationError(RuntimeError):
@@ -131,26 +135,18 @@ def check_bound_negativity(
     its Schmidt coefficients
     (:func:`entsup.witnesses.negativity_witness_expectation`).
     """
-    return _negativity_reports(psi, phi, coeffs, [partition])[0]
-
-
-def _negativity_reports(psi, phi, coeffs, partitions) -> list[BoundReport]:
-    """The negativity bound at each cut, with gamma formed once for all of them."""
-    profiles = [quantifiers.pt_profile(branch, partitions) for branch in (psi, phi)]
+    (e_psi, _), (e_phi, _) = (quantifiers.pt_profile(x, [partition])[0] for x in (psi, phi))
     gamma_norm, gamma_hat = _superposition(psi, phi, coeffs)
-    reports = []
-    for p, (e_psi, _), (e_phi, _) in zip(partitions, *profiles):
-        lhs, w_norm = 0.0, 0.0
-        if gamma_hat is not None:
-            lhs, w_norm = negativity_witness_expectation(gamma_hat, p)
-        reports.append(_make_report(
-            gamma_norm * lhs,
-            _rhs_terms(coeffs, e_psi, e_phi, w_norm),
-            "witness-norm",
-            gamma_norm,
-            instance=lambda p=p: _instance_payload(psi, phi, coeffs, partition=p),
-        ))
-    return reports
+    lhs, w_norm = 0.0, 0.0
+    if gamma_hat is not None:
+        lhs, w_norm = negativity_witness_expectation(gamma_hat, partition)
+    return _make_report(
+        gamma_norm * lhs,
+        _rhs_terms(coeffs, e_psi, e_phi, w_norm),
+        "witness-norm",
+        gamma_norm,
+        instance=lambda: _instance_payload(psi, phi, coeffs, partition=partition),
+    )
 
 
 def _superposition(psi, phi, coeffs):
@@ -253,42 +249,32 @@ def random_sweep(
     State pairs are drawn from the rotation-invariant complex normal ensemble,
     coefficients as (cos t, e^{i x} sin t) with t, x uniform. Sample index i
     runs on its own substream of ``seed``, so summaries are reproducible.
+    The rows come from :func:`sweep_blocks`; this keeps every one of them.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    register = qubit_register(qubits)
-    partitions = linops.single_cut_partitions(register)
-    rows = samples * (len(partitions) if config.kind == "negativity" else 1)
-    if rows > MAX_SWEEP_ROWS:
-        raise ValueError(f"a sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS}")
+    blocks = list(sweep_blocks(config, qubits, samples, seed))
+    records = tuple(
+        SweepRecord(*row)
+        for block in blocks
+        for row in zip(*(column.tolist() for column in block))
+    )
+    return summarize_sweep(config, qubits, samples, seed, [block.gap for block in blocks], records)
 
-    def run(index: int) -> list[SweepRecord]:
-        rng = np.random.default_rng([seed, index])
-        psi = _random_ket(rng, register)
-        phi = _random_ket(rng, register)
-        theta = rng.uniform(0.0, math.pi / 2)
-        chi = rng.uniform(0.0, 2 * math.pi)
-        coeffs = SuperposCoeffs(math.cos(theta), cmath.exp(1j * chi) * math.sin(theta))
-        try:
-            if config.kind == "negativity":
-                reports = _negativity_reports(psi, phi, coeffs, partitions)
-            else:
-                reports = [_robustness_report(psi, phi, coeffs)]
-        except BoundViolationError as err:
-            err.instance["sample_index"] = index
-            err.instance["seed"] = seed
-            raise
-        return [
-            SweepRecord(index, abs(coeffs.a), abs(coeffs.b), r.lhs, r.rhs, r.gap)
-            for r in reports
-        ]
 
-    records = tuple(rec for i in range(samples) for rec in run(i))
-    gaps = np.array([r.gap for r in records])
+def summarize_sweep(
+    config: QuantifierConfig,
+    qubits: int,
+    samples: int,
+    seed: int,
+    gaps: list[np.ndarray],
+    records: tuple[SweepRecord, ...] = (),
+) -> SweepSummary:
+    """The summary of a finished sweep, from the gap columns of its blocks."""
+    gap = np.concatenate(gaps)
+    partitions = linops.single_cut_partitions(qubit_register(qubits))
     return SweepSummary(
         samples=samples,
-        min_gap=float(gaps.min()),
-        mean_gap=float(gaps.mean()),
+        min_gap=float(gap.min()),
+        mean_gap=float(gap.mean()),
         violations=0,
         seed=seed,
         config={
@@ -298,6 +284,126 @@ def random_sweep(
         },
         records=records,
     )
+
+
+class SweepColumns(NamedTuple):
+    """One block of sweep rows as columns, in (sample index, cut) order."""
+
+    index: np.ndarray
+    abs_a: np.ndarray
+    abs_b: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    gap: np.ndarray
+
+
+def sweep_blocks(
+    config: QuantifierConfig,
+    qubits: int,
+    samples: int,
+    seed: int = DEFAULT_SEED,
+) -> Iterator[SweepColumns]:
+    """The rows of :func:`random_sweep`, a block of samples at a time.
+
+    The arguments are checked before this returns, and a violation raises when
+    its block is reached. A block holds at most ``SWEEP_BLOCK_AMPLITUDES`` //
+    d samples, and at least one, so memory does not grow with ``samples``.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    register = qubit_register(qubits)
+    partitions = linops.single_cut_partitions(register)
+    rows = samples * (len(partitions) if config.kind == "negativity" else 1)
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"a sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS}")
+    per_block = max(1, SWEEP_BLOCK_AMPLITUDES // register.size)
+    blocks = (range(i, min(i + per_block, samples)) for i in range(0, samples, per_block))
+    return (sweep_block(config, qubits, block, seed) for block in blocks)
+
+
+def sweep_block(
+    config: QuantifierConfig, qubits: int, indices: range, seed: int = DEFAULT_SEED
+) -> SweepColumns:
+    """The sweep's rows for the samples ``indices``, evaluated at once over stacked kets.
+
+    psi, phi and the unit gamma share one (3, N, d) stack. A gamma below the
+    vanishing rule of :func:`_superposition` becomes the zero ket, whose every
+    closed form is 0. Each (branch, cut) pays one batched SVD; on single-qubit
+    cuts every spectrum has two entries, so they stack as (3, N, cuts, 2). The
+    first violating row, in (index, cut) order, raises.
+    """
+    register = qubit_register(qubits)
+    partitions = linops.single_cut_partitions(register)
+    kind = config.kind
+    kets, a, b = _draw_block(register.size, indices, seed)
+    np.multiply(a[:, None], kets[0], out=kets[2])
+    kets[2] += b[:, None] * kets[1]
+    norm = _norms(kets[2])
+    gamma_norm = norm**2
+    vanishes = gamma_norm < 1e-12
+    kets[2] /= np.where(vanishes, 1.0, norm)[:, None]
+    kets[2, vanishes] = 0.0
+    s = np.array(
+        [[linops.schmidt_spectra(ket, register.dims, p) for p in partitions] for ket in kets]
+    ).transpose(0, 2, 1, 3)
+    if kind == "negativity":
+        e_psi, e_phi = quantifiers.schmidt_negativity(s[:2])
+        value, c = negativity_witness_values(s[2])
+        lhs = gamma_norm[:, None] * value
+    else:
+        e_psi, e_phi, e_gamma = quantifiers.best_single_cut(maxent_cut_value(s))[0][..., None]
+        lhs = gamma_norm[:, None] * e_gamma
+        c = np.where(lhs > 0, max(REFLECTION_CLASS), 0.0)
+        _check_nonnegative(e_psi=e_psi, e_phi=e_phi, e_gamma=lhs)
+    # np.abs of a complex array may round differently from abs(complex); hypot does not.
+    abs_a, abs_b = (np.hypot(z.real, z.imag)[:, None] for z in (a, b))
+    rhs = abs_a**2 * e_psi + abs_b**2 * e_phi + 2.0 * (abs_a * abs_b) * c
+    gap = rhs - lhs
+    violated = gap < -VIOLATION_TOL
+    if violated.any():
+        row, col = np.unravel_index(np.argmax(violated), violated.shape)
+        extra = {"partition": partitions[col]} if kind == "negativity" else {"k": float(c[row, 0])}
+        psi, phi = (Ket(register, ket[row]) for ket in kets[:2])
+        payload = _instance_payload(psi, phi, SuperposCoeffs(a[row], b[row]), **extra)
+        err = _violation(*(float(x[row, col]) for x in (lhs, rhs, gap)), payload)
+        err.instance.update({"sample_index": indices[row], "seed": seed})
+        raise err
+    cuts = gap.shape[1]
+    return SweepColumns(
+        np.repeat(np.asarray(indices), cuts),
+        np.repeat(abs_a, cuts),
+        np.repeat(abs_b, cuts),
+        lhs.ravel(),
+        rhs.ravel(),
+        gap.ravel(),
+    )
+
+
+def _draw_block(size, indices, seed):
+    """Stacked unit psi and phi, room for gamma, and the coefficient pairs of ``indices``.
+
+    Each sample draws from its own ``[seed, index]`` substream in a fixed order:
+    psi (re, im), phi (re, im), t, x. The pair (cos t, e^{i x} sin t) is formed
+    with scalar math, so it does not depend on the block a sample falls in.
+    """
+    normals = np.empty((len(indices), 4, size))
+    a, b = [], []
+    for row, index in enumerate(indices):
+        rng = np.random.default_rng([seed, index])
+        rng.standard_normal(out=normals[row])
+        theta = rng.uniform(0.0, math.pi / 2)
+        chi = rng.uniform(0.0, 2 * math.pi)
+        a.append(math.cos(theta))
+        b.append(cmath.exp(1j * chi) * math.sin(theta))
+    kets = np.empty((3, len(indices), size), dtype=np.complex128)
+    kets[0].real, kets[0].imag, kets[1].real, kets[1].imag = normals.transpose(1, 0, 2)
+    kets[:2] /= _norms(kets[:2])[..., None]
+    return kets, np.array(a, dtype=np.complex128), np.array(b)
+
+
+def _norms(kets: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each ket in a (..., d) stack, summed as ``np.linalg.norm`` sums a ket."""
+    return np.sqrt(np.vecdot(kets.real, kets.real) + np.vecdot(kets.imag, kets.imag))
 
 
 def _robustness_report(psi, phi, coeffs):
@@ -315,22 +421,13 @@ def _robustness_report(psi, phi, coeffs):
     return _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma, gamma_norm)
 
 
-def _random_ket(rng, register: Register) -> Ket:
-    v = rng.standard_normal(register.size) + 1j * rng.standard_normal(register.size)
-    return Ket(register, v / np.linalg.norm(v))
-
-
 def _make_report(lhs, terms, kind, gamma_norm, instance):
     """Assemble the report; ``instance()`` builds the payload only on a violation."""
     term_psi, term_phi, cross = terms
     rhs = term_psi + term_phi + cross
     gap = rhs - lhs
     if gap < -VIOLATION_TOL:
-        payload = instance()
-        payload.update({"lhs": lhs, "rhs": rhs, "gap": gap})
-        raise BoundViolationError(
-            f"bound violated: lhs {lhs!r} exceeds rhs {rhs!r}", instance=payload
-        )
+        raise _violation(lhs, rhs, gap, instance())
     return BoundReport(
         lhs=lhs,
         term_psi=term_psi,
@@ -341,6 +438,14 @@ def _make_report(lhs, terms, kind, gamma_norm, instance):
         saturated=gap <= SATURATION_TOL,
         inequality_kind=kind,
         gamma_norm=gamma_norm,
+    )
+
+
+def _violation(lhs, rhs, gap, payload) -> BoundViolationError:
+    """The error for lhs > rhs + VIOLATION_TOL; both sides join the instance payload."""
+    payload.update({"lhs": lhs, "rhs": rhs, "gap": gap})
+    return BoundViolationError(
+        f"bound violated: lhs {lhs!r} exceeds rhs {rhs!r}", instance=payload
     )
 
 
@@ -361,6 +466,7 @@ def _instance_payload(psi, phi, coeffs, **extra):
 
 
 def _check_nonnegative(**values):
+    """Raise ValueError for a negative value, or a negative entry of an array."""
     for name, value in values.items():
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+        if np.any(value < 0):
+            raise ValueError(f"{name} must be nonnegative, got {np.min(value)}")

@@ -152,37 +152,49 @@ def maxent_cut_expectation(psi: Ket, partition: Partition) -> float:
 
     chi is the maximally entangled state on psi's two leading Schmidt vectors
     across the cut. Its largest product overlap is 1/2, so W is a cap-identity
-    witness for that bipartition in ``REFLECTION_CLASS``. With Schmidt
-    coefficients s_i, <chi|psi> = (s_1 + s_2)/sqrt(2), so the value is
-    sum_i s_i^2 - (s_1 + s_2)^2; for a unit psi, minus that is the generalized
+    witness for that bipartition in ``REFLECTION_CLASS``. The value is minus
+    :func:`maxent_cut_value` of the cut's Schmidt coefficients.
+    """
+    return -float(maxent_cut_value(linops.schmidt_coefficients(psi, partition)))
+
+
+def maxent_cut_value(s: np.ndarray) -> np.ndarray:
+    """-<psi|W|psi> for the cut witness of :func:`maxent_cut_expectation`, over the trailing axis.
+
+    With Schmidt coefficients s_i, <chi|psi> = (s_1 + s_2)/sqrt(2), so the value
+    is (s_1 + s_2)^2 - sum_i s_i^2; for a unit psi it is the generalized
     robustness across the cut. Schmidt rank 1 gives the zero witness and 0.
     """
-    s = linops.schmidt_coefficients(psi, partition)
-    if s[1] <= SCHMIDT_RANK_TOL:
-        return 0.0
-    return float(np.dot(s, s) - (s[0] + s[1]) ** 2)
+    value = (s[..., 0] + s[..., 1]) ** 2 - np.vecdot(s, s)
+    return np.where(s[..., 1] > SCHMIDT_RANK_TOL, value, 0.0)
 
 
 def negativity_witness_expectation(psi: Ket, partition: Partition) -> tuple[float, float]:
     """-<psi|W|psi> and ||W|| for W = negativity_optimal_witness(|psi><psi|, partition).
+
+    Both come from the cut's Schmidt coefficients (:func:`negativity_witness_values`).
+    """
+    value, norm = negativity_witness_values(linops.schmidt_coefficients(psi, partition))
+    return float(value), float(norm)
+
+
+def negativity_witness_values(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-<psi|W|psi> and ||W|| of the optimal negativity witness, over the trailing Schmidt axis.
 
     With psi = sum_i s_i |a_i b_i>, the negative eigenvectors of |psi><psi|^{T_A}
     are (|a_j* b_i> - |a_i* b_j>)/sqrt(2), eigenvalue -s_i s_j, over the pairs
     E = {i < j : s_i s_j > NEG_EIGENSPACE_TOL}; so the value is sum_E s_i s_j.
     W, their projector partially transposed, is 1/2 on each |a_j b_i> and
     |a_i b_j> of E and -A/2 on span{|a_i b_i>}, with A the 0/1 adjacency
-    matrix of E, so ||W|| = lambda_max(A)/2: one eigensolve of an r x r
-    matrix, r at most the Schmidt rank. Both are 0 when E is empty.
+    matrix of E, so ||W|| = lambda_max(A)/2: one batched eigensolve of the
+    r x r pair graphs, r the length of the Schmidt axis. Vertices outside E
+    only add zero eigenvalues, and both values are 0 when E is empty.
     """
-    s = linops.schmidt_coefficients(psi, partition)
-    products = np.outer(s, s)
+    products = s[..., :, None] * s[..., None, :]
     edges = np.triu(products > linops.NEG_EIGENSPACE_TOL, 1)
-    if not edges.any():
-        return 0.0, 0.0
-    # s is nonincreasing, so E lives on vertices 0..r-1 and each of them meets vertex 0.
-    r = int(np.count_nonzero(edges[0])) + 1
-    adjacency = (edges | edges.T)[:r, :r].astype(float)
-    return float(np.sum(products[edges])), 0.5 * float(np.linalg.eigvalsh(adjacency)[-1])
+    value = np.sum(products, axis=(-2, -1), where=edges)
+    adjacency = (edges | np.swapaxes(edges, -2, -1)).astype(float)
+    return value, 0.5 * np.linalg.eigvalsh(adjacency)[..., -1]
 
 
 def witness_k(w: Witness) -> float:

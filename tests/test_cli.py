@@ -26,6 +26,7 @@ from entsup.qstate import Ket, Register, density, ghz, qubit_register
 from entsup.quantifiers import pt_profile, rg_lower_pure, rg_lower_via_witness
 from entsup.sdpcore import MAX_DIMENSION
 from entsup.supbound import SweepRecord, SweepSummary
+from entsup.witnesses import DEFAULT_SEED
 
 from conftest import random_pure_amplitudes, unit_kets
 from oracles import maxent_cut_witness
@@ -199,6 +200,9 @@ def test_sweep_usage_error(capsys):
     assert main(["sweep", "--samples", "5", "--renormalize"]) == EXIT_INPUT  # flag removed
     assert main(["sweep", "--samples", "5", "--no-renormalize"]) == EXIT_INPUT  # flag removed
     capsys.readouterr()
+    for qubits in ("1", "0"):
+        assert main(["sweep", "--samples", "5", "--qubits", qubits]) == EXIT_INPUT
+        assert "--qubits" in json.loads(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
@@ -218,17 +222,40 @@ def test_quantify_rejects_bad_tolerance(tmp_path, capsys, monkeypatch, value):
         assert "--tolerance" in json.loads(captured.err)["error"]
 
 
-def test_sweep_violation_exit_code(monkeypatch, capsys):
+def test_sweep_violation_exit_code(tmp_path, monkeypatch, capsys):
+    # On two qubits every right side is at most (|a| + |b|)^2 <= 2, so with the
+    # tolerance at -3 the first row violates, on the batched path itself.
     import entsup.cli as cli_mod
-    from entsup.supbound import BoundViolationError
 
-    def explode(*args, **kwargs):
-        raise BoundViolationError("bound violated", instance={"sample_index": 3})
+    monkeypatch.setattr(cli_mod.supbound, "VIOLATION_TOL", -3.0)
+    target = tmp_path / "rows.csv"
+    for quantifier, key in (("negativity", "partition"), ("robustness", "k")):
+        code, report = run_cli(
+            capsys, "sweep", "--quantifier", quantifier, "--samples", "5", "--csv", str(target)
+        )
+        assert code == 5
+        instance = report["results"]["instance"]
+        assert set(instance) == {
+            "dims", "psi", "phi", "a", "b", key, "lhs", "rhs", "gap", "sample_index", "seed"
+        }
+        assert instance["sample_index"] == 0 and instance["seed"] == DEFAULT_SEED
+        assert instance["gap"] == instance["rhs"] - instance["lhs"] < 3.0
+        assert not target.exists() and list(tmp_path.iterdir()) == []
 
-    monkeypatch.setattr(cli_mod.supbound, "random_sweep", explode)
-    code, report = run_cli(capsys, "sweep", "--samples", "5")
-    assert code == 5
-    assert report["results"]["instance"]["sample_index"] == 3
+
+def test_sweep_unwritable_csv_fails_before_sampling(tmp_path, monkeypatch, capsys):
+    import entsup.cli as cli_mod
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sample was drawn for an unwritable --csv")
+
+    monkeypatch.setattr(cli_mod.supbound, "sweep_block", unreachable)
+    target = tmp_path / "no" / "such" / "dir" / "rows.csv"
+    code = main(["sweep", "--samples", "5", "--csv", str(target)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert str(target) in error and "No such file or directory" in error
 
 
 def test_quantify_solver_failure_partial_results(tmp_path, monkeypatch, capsys):
@@ -344,16 +371,22 @@ def test_quantify_negativity_solves_each_cut_once(tmp_path, capsys, monkeypatch,
 
 
 def test_negativity_sweep_solves_no_register_sized_matrix(capsys, monkeypatch):
-    # Per sample and cut: one SVD each of psi, phi and gamma across the cut, and
-    # one eigensolve of gamma's r x r pair graph, r <= 2 for a single qubit.
+    # A block stacks its samples: per branch and cut one SVD of (N, 2, 2^(q-1))
+    # amplitude matrices, and one eigensolve of (N, cuts, 2, 2) pair graphs, so
+    # the number of solves does not grow with the number of samples.
     solves = count_solves(monkeypatch)
     for qubits in (2, 3):
-        solves.clear()
-        code, _ = run_cli(capsys, "sweep", "--qubits", str(qubits), "--samples", "5")
-        assert code == EXIT_OK
-        assert {shape for name, shape in solves if name == "svd"} == {(2, 2 ** (qubits - 1))}
-        eigen = [shape for name, shape in solves if name != "svd"]
-        assert len(eigen) == 5 * qubits and set(eigen) == {(2, 2)}
+        counts = []
+        for samples in (5, 50):
+            solves.clear()
+            code, _ = run_cli(capsys, "sweep", "--qubits", str(qubits), "--samples", str(samples))
+            assert code == EXIT_OK
+            assert {shape[-2:] for name, shape in solves if name == "svd"} == {
+                (2, 2 ** (qubits - 1))
+            }
+            assert {shape[-2:] for name, shape in solves if name != "svd"} == {(2, 2)}
+            counts.append(len(solves))
+        assert counts[0] == counts[1], counts
 
 
 def test_oversized_registers_are_refused_before_allocation(tmp_path, capsys):

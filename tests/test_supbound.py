@@ -318,19 +318,38 @@ def test_sweep_deterministic_and_thread_safe():
     assert one == two
 
 
-def test_sweep_forms_gamma_once_per_sample(monkeypatch):
-    calls = []
+def _sweep_instance(seed, index, qubits):
+    """Sample ``index`` of a sweep, redrawn one ket at a time from its own substream."""
+    rng = np.random.default_rng([seed, index])
+    reg = qubit_register(qubits)
+    psi, phi = (Ket(reg, random_pure_amplitudes(rng, reg.size)) for _ in range(2))
+    theta = rng.uniform(0.0, math.pi / 2)
+    chi = rng.uniform(0.0, 2 * math.pi)
+    return psi, phi, SuperposCoeffs(math.cos(theta), cmath.exp(1j * chi) * math.sin(theta))
 
-    def counted(*args, _superposition=supbound._superposition):
-        calls.append(args)
-        return _superposition(*args)
 
-    monkeypatch.setattr(supbound, "_superposition", counted)
-    for kind in ("negativity", "generalized_robustness"):
-        calls.clear()
-        summary = random_sweep(QuantifierConfig(kind=kind), qubits=3, samples=5, seed=3)
-        assert len(calls) == 5, kind
-        assert len(summary.records) == (15 if kind == "negativity" else 5)
+@pytest.mark.parametrize("kind", ["negativity", "generalized_robustness"])
+@pytest.mark.parametrize("qubits", [2, 3])
+def test_sweep_rows_match_the_scalar_bound(kind, qubits):
+    samples = 20
+    for seed in range(3):
+        summary = random_sweep(QuantifierConfig(kind=kind), qubits, samples, seed=seed)
+        want = []
+        for index in range(samples):
+            psi, phi, coeffs = _sweep_instance(seed, index, qubits)
+            if kind == "negativity":
+                reports = [
+                    check_bound_negativity(psi, phi, coeffs, p)
+                    for p in single_cut_partitions(psi.register)
+                ]
+            else:
+                reports = [_robustness_report(psi, phi, coeffs)]
+            want += [(index, abs(coeffs.a), abs(coeffs.b), r.lhs, r.rhs, r.gap) for r in reports]
+        got = [(r.index, r.abs_a, r.abs_b, r.lhs, r.rhs, r.gap) for r in summary.records]
+        assert [row[:3] for row in got] == [row[:3] for row in want]
+        np.testing.assert_allclose(
+            [row[3:] for row in got], [row[3:] for row in want], rtol=0, atol=1e-12
+        )
 
 
 def test_sweep_row_limit_counts_rows_per_sample(monkeypatch):
