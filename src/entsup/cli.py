@@ -30,8 +30,6 @@ EXIT_SOLVER = 3
 EXIT_SATURATION = 4
 EXIT_VIOLATION = 5
 
-CSV_HEADER = "index,abs_a,abs_b,lhs,rhs,gap\n"
-
 
 class StateFileError(ValueError):
     """A state file failed to parse; the message carries the location."""
@@ -247,10 +245,14 @@ def _consume_sweep(blocks, path: str | None) -> list[np.ndarray]:
         raise StateFileError(f"--csv {path}: {err.strerror or err}") from err
     try:
         with handle:
-            handle.write(CSV_HEADER)
+            handle.write("index,abs_a,abs_b,lhs,rhs,gap\n")
             gaps = []
             for block in blocks:
-                handle.writelines(_csv_lines(zip(*(column.tolist() for column in block))))
+                # Floats at full precision, one line at a time, so no copy of the table is held.
+                handle.writelines(
+                    f"{index},{abs_a!r},{abs_b!r},{lhs!r},{rhs!r},{gap!r}\n"
+                    for index, abs_a, abs_b, lhs, rhs, gap in zip(*(c.tolist() for c in block))
+                )
                 gaps.append(block.gap)
         os.replace(part, path)
     except OSError as err:
@@ -260,21 +262,6 @@ def _consume_sweep(blocks, path: str | None) -> list[np.ndarray]:
         os.remove(part)
         raise
     return gaps
-
-
-def _csv_lines(rows):
-    """One CSV line per (index, abs_a, abs_b, lhs, rhs, gap) row, floats at full precision."""
-    for index, abs_a, abs_b, lhs, rhs, gap in rows:
-        yield f"{index},{abs_a!r},{abs_b!r},{lhs!r},{rhs!r},{gap!r}\n"
-
-
-def _write_csv(path: str, summary) -> None:
-    """Write a finished summary's records as the CSV that ``sweep --csv`` writes."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(CSV_HEADER)
-        handle.writelines(
-            _csv_lines((r.index, r.abs_a, r.abs_b, r.lhs, r.rhs, r.gap) for r in summary.records)
-        )
 
 
 def _run_report(command: str, config: dict, results: dict, **extra) -> dict:

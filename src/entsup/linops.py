@@ -163,6 +163,15 @@ def schmidt_spectra(amplitudes: np.ndarray, dims, partition: Partition) -> np.nd
     return np.linalg.svd(cut, compute_uv=False)
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of two real (..., n) stacks over the trailing axis.
+
+    A stacked 1 x n by n x 1 matmul runs the kernel of ``np.dot``, so each row
+    is summed as ``np.dot`` sums two vectors.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def matrix_element(op: HermOp, bra: Ket, ket: Ket) -> complex:
     """Matrix element <bra|M|ket>."""
     if not (op.register == bra.register == ket.register):

@@ -70,7 +70,7 @@ def pt_profile(
 
 def schmidt_negativity(s: np.ndarray) -> np.ndarray:
     """Negativity sum_{i<j} s_i s_j of a pure state, over the trailing Schmidt axis of s."""
-    return np.vecdot(s[..., 1:], np.cumsum(s[..., :-1], axis=-1))
+    return linops.row_dot(s[..., 1:], np.cumsum(s[..., :-1], axis=-1))
 
 
 def negativity(state: HermOp | Ket, partition: Partition) -> float:

@@ -40,6 +40,8 @@ VIOLATION_TOL = 1e-8
 MAX_SWEEP_ROWS = 10**6
 # A sweep block stacks at most this many amplitudes per branch, and one sample at least.
 SWEEP_BLOCK_AMPLITUDES = 2**16
+# A superposition gamma whose squared norm falls below this counts as vanishing.
+VANISHING_NORM_SQ = 1e-12
 
 
 class BoundViolationError(RuntimeError):
@@ -104,7 +106,7 @@ def rhs_from_witness_norm(
 ) -> float:
     """Bound |a|^2 e_psi + |b|^2 e_phi + 2|a||b| * witness_norm."""
     _check_nonnegative(e_psi=e_psi, e_phi=e_phi, witness_norm=witness_norm)
-    return sum(_rhs_terms(coeffs, e_psi, e_phi, witness_norm))
+    return sum(_rhs_terms(*_moduli(coeffs), e_psi, e_phi, witness_norm))
 
 
 def rhs_from_witness_class(
@@ -112,12 +114,19 @@ def rhs_from_witness_class(
 ) -> float:
     """Bound |a|^2 e_psi + |b|^2 e_phi + 2 k |a||b| for a spectral class k."""
     _check_nonnegative(e_psi=e_psi, e_phi=e_phi, k=k)
-    return sum(_rhs_terms(coeffs, e_psi, e_phi, k))
+    return sum(_rhs_terms(*_moduli(coeffs), e_psi, e_phi, k))
 
 
-def _rhs_terms(coeffs: SuperposCoeffs, e_psi: float, e_phi: float, k: float):
-    """The three terms |a|^2 e_psi, |b|^2 e_phi and 2|a||b| k of every bound."""
-    return abs(coeffs.a) ** 2 * e_psi, abs(coeffs.b) ** 2 * e_phi, 2.0 * coeffs.abs_product * k
+def _rhs_terms(abs_a, abs_b, e_psi, e_phi, k):
+    """The three terms |a|^2 e_psi, |b|^2 e_phi and 2|a||b| k of every bound.
+
+    Each argument is a number or an array; the sweep passes one entry per row.
+    """
+    return abs_a**2 * e_psi, abs_b**2 * e_phi, 2.0 * (abs_a * abs_b) * k
+
+
+def _moduli(coeffs: SuperposCoeffs) -> tuple[float, float]:
+    return abs(coeffs.a), abs(coeffs.b)
 
 
 def check_bound_negativity(
@@ -142,7 +151,7 @@ def check_bound_negativity(
         lhs, w_norm = negativity_witness_expectation(gamma_hat, partition)
     return _make_report(
         gamma_norm * lhs,
-        _rhs_terms(coeffs, e_psi, e_phi, w_norm),
+        _rhs_terms(*_moduli(coeffs), e_psi, e_phi, w_norm),
         "witness-norm",
         gamma_norm,
         instance=lambda: _instance_payload(psi, phi, coeffs, partition=partition),
@@ -156,7 +165,7 @@ def _superposition(psi, phi, coeffs):
     """
     gamma = superpose(coeffs, psi, phi)
     gamma_norm = gamma.norm() ** 2
-    if gamma_norm < 1e-12:
+    if gamma_norm < VANISHING_NORM_SQ:
         return gamma_norm, None
     return gamma_norm, gamma.normalized()
 
@@ -184,7 +193,7 @@ def _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma, gamma_norm) -> Bou
     _check_nonnegative(e_psi=e_psi, e_phi=e_phi, e_gamma=e_gamma)
     return _make_report(
         e_gamma,
-        _rhs_terms(coeffs, e_psi, e_phi, k),
+        _rhs_terms(*_moduli(coeffs), e_psi, e_phi, k),
         "witness-class",
         gamma_norm,
         instance=lambda: _instance_payload(psi, phi, coeffs, k=k),
@@ -326,11 +335,12 @@ def sweep_block(
 ) -> SweepColumns:
     """The sweep's rows for the samples ``indices``, evaluated at once over stacked kets.
 
-    psi, phi and the unit gamma share one (3, N, d) stack. A gamma below the
-    vanishing rule of :func:`_superposition` becomes the zero ket, whose every
-    closed form is 0. Each (branch, cut) pays one batched SVD; on single-qubit
-    cuts every spectrum has two entries, so they stack as (3, N, cuts, 2). The
-    first violating row, in (index, cut) order, raises.
+    psi, phi and the unit gamma share one (3, N, d) stack. A gamma that
+    vanishes (squared norm below ``VANISHING_NORM_SQ``, as in
+    :func:`_superposition`) becomes the zero ket, whose every closed form is 0.
+    Each (branch, cut) pays one batched SVD; on single-qubit cuts every
+    spectrum has two entries, so they stack as (3, N, cuts, 2). The first
+    violating row, in (index, cut) order, raises.
     """
     register = qubit_register(qubits)
     partitions = linops.single_cut_partitions(register)
@@ -340,7 +350,7 @@ def sweep_block(
     kets[2] += b[:, None] * kets[1]
     norm = _norms(kets[2])
     gamma_norm = norm**2
-    vanishes = gamma_norm < 1e-12
+    vanishes = gamma_norm < VANISHING_NORM_SQ
     kets[2] /= np.where(vanishes, 1.0, norm)[:, None]
     kets[2, vanishes] = 0.0
     s = np.array(
@@ -353,15 +363,15 @@ def sweep_block(
     else:
         e_psi, e_phi, e_gamma = quantifiers.best_single_cut(maxent_cut_value(s))[0][..., None]
         lhs = gamma_norm[:, None] * e_gamma
-        c = np.where(lhs > 0, max(REFLECTION_CLASS), 0.0)
+        c = _cut_witness_class(lhs)
         _check_nonnegative(e_psi=e_psi, e_phi=e_phi, e_gamma=lhs)
     # np.abs of a complex array may round differently from abs(complex); hypot does not.
     abs_a, abs_b = (np.hypot(z.real, z.imag)[:, None] for z in (a, b))
-    rhs = abs_a**2 * e_psi + abs_b**2 * e_phi + 2.0 * (abs_a * abs_b) * c
+    rhs = sum(_rhs_terms(abs_a, abs_b, e_psi, e_phi, c))
     gap = rhs - lhs
-    violated = gap < -VIOLATION_TOL
-    if violated.any():
-        row, col = np.unravel_index(np.argmax(violated), violated.shape)
+    violation = _first_violation(gap)
+    if violation is not None:
+        row, col = violation
         extra = {"partition": partitions[col]} if kind == "negativity" else {"k": float(c[row, 0])}
         psi, phi = (Ket(register, ket[row]) for ket in kets[:2])
         payload = _instance_payload(psi, phi, SuperposCoeffs(a[row], b[row]), **extra)
@@ -403,7 +413,7 @@ def _draw_block(size, indices, seed):
 
 def _norms(kets: np.ndarray) -> np.ndarray:
     """Euclidean norm of each ket in a (..., d) stack, summed as ``np.linalg.norm`` sums a ket."""
-    return np.sqrt(np.vecdot(kets.real, kets.real) + np.vecdot(kets.imag, kets.imag))
+    return np.sqrt(linops.row_dot(kets.real, kets.real) + linops.row_dot(kets.imag, kets.imag))
 
 
 def _robustness_report(psi, phi, coeffs):
@@ -417,8 +427,16 @@ def _robustness_report(psi, phi, coeffs):
     e_psi, e_phi = rg_lower_pure(psi)[0], rg_lower_pure(phi)[0]
     gamma_norm, gamma_hat = _superposition(psi, phi, coeffs)
     e_gamma = 0.0 if gamma_hat is None else gamma_norm * rg_lower_pure(gamma_hat)[0]
-    k = max(REFLECTION_CLASS) if e_gamma > 0 else 0.0
+    k = float(_cut_witness_class(e_gamma))
     return _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma, gamma_norm)
+
+
+def _cut_witness_class(e_gamma):
+    """Class constant k of the best single-cut witness, for a number or an array of left sides.
+
+    The witness is a reflection (k = 1) where it witnesses anything, else the zero witness (k = 0).
+    """
+    return np.where(e_gamma > 0, max(REFLECTION_CLASS), 0.0)
 
 
 def _make_report(lhs, terms, kind, gamma_norm, instance):
@@ -426,7 +444,7 @@ def _make_report(lhs, terms, kind, gamma_norm, instance):
     term_psi, term_phi, cross = terms
     rhs = term_psi + term_phi + cross
     gap = rhs - lhs
-    if gap < -VIOLATION_TOL:
+    if _first_violation(gap) is not None:
         raise _violation(lhs, rhs, gap, instance())
     return BoundReport(
         lhs=lhs,
@@ -439,6 +457,14 @@ def _make_report(lhs, terms, kind, gamma_norm, instance):
         inequality_kind=kind,
         gamma_norm=gamma_norm,
     )
+
+
+def _first_violation(gap):
+    """Position of the first entry of ``gap``, in row-major order, below -VIOLATION_TOL, or None."""
+    violated = np.asarray(gap) < -VIOLATION_TOL
+    if not violated.any():
+        return None
+    return np.unravel_index(np.argmax(violated), violated.shape)
 
 
 def _violation(lhs, rhs, gap, payload) -> BoundViolationError:

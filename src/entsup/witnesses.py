@@ -165,7 +165,7 @@ def maxent_cut_value(s: np.ndarray) -> np.ndarray:
     is (s_1 + s_2)^2 - sum_i s_i^2; for a unit psi it is the generalized
     robustness across the cut. Schmidt rank 1 gives the zero witness and 0.
     """
-    value = (s[..., 0] + s[..., 1]) ** 2 - np.vecdot(s, s)
+    value = (s[..., 0] + s[..., 1]) ** 2 - linops.row_dot(s, s)
     return np.where(s[..., 1] > SCHMIDT_RANK_TOL, value, 0.0)
 
 
@@ -186,14 +186,18 @@ def negativity_witness_values(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     E = {i < j : s_i s_j > NEG_EIGENSPACE_TOL}; so the value is sum_E s_i s_j.
     W, their projector partially transposed, is 1/2 on each |a_j b_i> and
     |a_i b_j> of E and -A/2 on span{|a_i b_i>}, with A the 0/1 adjacency
-    matrix of E, so ||W|| = lambda_max(A)/2: one batched eigensolve of the
-    r x r pair graphs, r the length of the Schmidt axis. Vertices outside E
-    only add zero eigenvalues, and both values are 0 when E is empty.
+    matrix of E, so ||W|| = lambda_max(A)/2: one batched eigensolve of r x r
+    pair graphs, r the most vertices E has in any row. Vertices outside E only
+    add zero eigenvalues, and both values are 0 when E is empty.
     """
     products = s[..., :, None] * s[..., None, :]
     edges = np.triu(products > linops.NEG_EIGENSPACE_TOL, 1)
     value = np.sum(products, axis=(-2, -1), where=edges)
-    adjacency = (edges | np.swapaxes(edges, -2, -1)).astype(float)
+    # s is nonincreasing, so E lives on vertices 0..r-1 and each of them meets vertex 0.
+    r = int(np.count_nonzero(edges[..., 0, :], axis=-1).max(initial=0)) + 1
+    if r == 1:
+        return value, np.zeros_like(value)
+    adjacency = (edges | np.swapaxes(edges, -2, -1))[..., :r, :r].astype(float)
     return value, 0.5 * np.linalg.eigvalsh(adjacency)[..., -1]
 
 

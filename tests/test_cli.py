@@ -15,7 +15,7 @@ from entsup.cli import (
     EXIT_INPUT,
     EXIT_OK,
     StateFileError,
-    _write_csv,
+    _consume_sweep,
     ket_to_state_document,
     load_state_file,
     main,
@@ -25,7 +25,7 @@ from entsup.linops import single_cut_partitions
 from entsup.qstate import Ket, Register, density, ghz, qubit_register
 from entsup.quantifiers import pt_profile, rg_lower_pure, rg_lower_via_witness
 from entsup.sdpcore import MAX_DIMENSION
-from entsup.supbound import SweepRecord, SweepSummary
+from entsup.supbound import SweepColumns
 from entsup.witnesses import DEFAULT_SEED
 
 from conftest import random_pure_amplitudes, unit_kets
@@ -180,18 +180,27 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
 
 
 def test_sweep_csv_is_streamed(tmp_path):
-    # Joined into one string, these 40 000 rows peaked at 14 MiB; written as
-    # they are formatted, the peak stays near the file buffer.
+    # Joined into one string, these 40 000 rows peaked at 14 MiB; written block
+    # by block as they are formatted, the peak stays near one block's rows.
     rng = np.random.default_rng(5)
     values = rng.standard_normal((40_000, 5))
-    records = tuple(SweepRecord(i, *map(float, row)) for i, row in enumerate(values))
-    summary = SweepSummary(len(records), 0.0, 0.0, 0, 0, {}, records)
+
+    def blocks():
+        for start in range(0, len(values), 1000):
+            rows = values[start : start + 1000]
+            yield SweepColumns(np.arange(start, start + len(rows)), *rows.T)
+
     target = tmp_path / "rows.csv"
-    _, peak = traced_peak(lambda: _write_csv(str(target), summary))
+    gaps, peak = traced_peak(lambda: _consume_sweep(blocks(), str(target)))
     assert peak < 2**20
-    rows = [f"{r.index},{r.abs_a!r},{r.abs_b!r},{r.lhs!r},{r.rhs!r},{r.gap!r}" for r in records]
+    np.testing.assert_array_equal(np.concatenate(gaps), values[:, 4])
+    rows = [
+        f"{i},{a!r},{b!r},{lhs!r},{rhs!r},{gap!r}"
+        for i, (a, b, lhs, rhs, gap) in enumerate(values.tolist())
+    ]
     expected = "\n".join(["index,abs_a,abs_b,lhs,rhs,gap"] + rows) + "\n"
     assert target.read_bytes() == expected.encode("utf-8")
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_sweep_usage_error(capsys):
@@ -241,6 +250,38 @@ def test_sweep_violation_exit_code(tmp_path, monkeypatch, capsys):
         assert instance["sample_index"] == 0 and instance["seed"] == DEFAULT_SEED
         assert instance["gap"] == instance["rhs"] - instance["lhs"] < 3.0
         assert not target.exists() and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("quantifier", ["negativity", "robustness"])
+def test_sweep_csv_and_violations_cross_block_boundaries(tmp_path, monkeypatch, capsys, quantifier):
+    # With 8 amplitudes a block two qubits hold 2 samples, so 7 samples make
+    # three full blocks and a partial last one.
+    import entsup.cli as cli_mod
+
+    argv = ("sweep", "--quantifier", quantifier, "--samples", "7", "--seed", "3")
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    code, single = run_cli(capsys, *argv, "--csv", str(whole))
+    assert code == EXIT_OK
+    monkeypatch.setattr(cli_mod.supbound, "SWEEP_BLOCK_AMPLITUDES", 8)
+    code, report = run_cli(capsys, *argv, "--csv", str(blocked))
+    assert code == EXIT_OK and report["results"] == single["results"]
+    assert blocked.read_bytes() == whole.read_bytes()
+
+    # Lower the tolerance so that the first row to fall below every earlier gap
+    # after the first block is the first violation.
+    rows = [line.split(",") for line in whole.read_text().splitlines()[1:]]
+    gaps = [float(row[5]) for row in rows]
+    first = next(i for i in range(4, len(gaps)) if gaps[i] < min(gaps[:i]))
+    monkeypatch.setattr(cli_mod.supbound, "VIOLATION_TOL", -min(gaps[:first]))
+    target = tmp_path / "violated.csv"
+    code, report = run_cli(capsys, *argv, "--csv", str(target))
+    assert code == 5
+    instance = report["results"]["instance"]
+    assert instance["sample_index"] == int(rows[first][0]) >= 2
+    assert instance["gap"] == gaps[first]
+    if quantifier == "negativity":
+        assert instance["partition"] == [first % 2]
+    assert not target.exists() and sorted(tmp_path.iterdir()) == [blocked, whole]
 
 
 def test_sweep_unwritable_csv_fails_before_sampling(tmp_path, monkeypatch, capsys):

@@ -352,6 +352,20 @@ def test_sweep_rows_match_the_scalar_bound(kind, qubits):
         )
 
 
+@pytest.mark.parametrize("kind", ["negativity", "generalized_robustness"])
+@pytest.mark.parametrize("qubits", [2, 3])
+def test_sweep_blocks_do_not_change_rows(monkeypatch, kind, qubits):
+    # 8 amplitudes a block hold 2 samples on two qubits and 1 on three, so
+    # 7 samples end on a partial block or run one sample per block.
+    config = QuantifierConfig(kind=kind)
+    whole = random_sweep(config, qubits, samples=7, seed=11)
+    monkeypatch.setattr(supbound, "SWEEP_BLOCK_AMPLITUDES", 8)
+    blocks = supbound.sweep_blocks(config, qubits, 7, 11)
+    sizes = [len(set(block.index.tolist())) for block in blocks]
+    assert sizes == ([2, 2, 2, 1] if qubits == 2 else [1] * 7)
+    assert random_sweep(config, qubits, samples=7, seed=11) == whole
+
+
 def test_sweep_row_limit_counts_rows_per_sample(monkeypatch):
     monkeypatch.setattr(supbound, "MAX_SWEEP_ROWS", 6)
     assert len(random_sweep(QuantifierConfig(), qubits=3, samples=2).records) == 6
