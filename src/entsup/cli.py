@@ -42,6 +42,8 @@ def load_state_file(path: str) -> Ket:
             doc = json.load(handle)
     except OSError as err:
         raise StateFileError(f"{path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise StateFileError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from err
     except json.JSONDecodeError as err:
         raise StateFileError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}"
@@ -141,8 +143,12 @@ def cmd_quantify(args) -> tuple[dict, int]:
         raise StateFileError(f"--tolerance must be finite and positive, got {tol}")
     ket = load_state_file(args.state)
     renormalized_input = False
-    if abs(ket.norm() ** 2 - 1.0) > linops.DENSITY_TOL:
-        ket = ket.normalized()
+    norm_sq = ket.norm() ** 2
+    if abs(norm_sq - 1.0) > linops.DENSITY_TOL:
+        try:
+            ket = ket.normalized()
+        except ValueError as err:
+            raise StateFileError(f"{args.state}: squared norm {norm_sq!r}: {err}") from err
         renormalized_input = True
     parts = parse_partitions(args.partition, ket.register)
     results: dict = {}
@@ -191,6 +197,8 @@ def cmd_quantify(args) -> tuple[dict, int]:
 def cmd_ghz_saturation(args) -> tuple[dict, int]:
     if args.n < 2:
         raise StateFileError(f"--n must be at least 2, got {args.n}")
+    if not math.isfinite(args.phi):
+        raise StateFileError(f"--phi must be finite, got {args.phi}")
     config = {"n": args.n, "phi": args.phi}
     try:
         report = supbound.ghz_saturation_experiment(args.n, args.phi)
@@ -209,6 +217,8 @@ def cmd_sweep(args) -> tuple[dict, int]:
         raise StateFileError(f"--samples must be at least 1, got {args.samples}")
     if args.qubits < 2:
         raise StateFileError(f"--qubits must be at least 2, got {args.qubits}")
+    if args.seed < 0:
+        raise StateFileError(f"--seed must be nonnegative, got {args.seed}")
     kind = "negativity" if args.quantifier == "negativity" else "generalized_robustness"
     config = QuantifierConfig(kind=kind)
     blocks = supbound.sweep_blocks(config, args.qubits, args.samples, args.seed)

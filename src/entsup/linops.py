@@ -142,18 +142,20 @@ def schmidt_coefficients(psi: Ket, partition: Partition) -> np.ndarray:
     """
     s = psi._schmidt.get(partition)
     if s is None:
-        partition.validate(psi.register, proper=True)
-        s = schmidt_spectra(psi.amplitudes, psi.register.dims, partition)
+        s = schmidt_spectra(psi.amplitudes, psi.register, partition)
         s.setflags(write=False)
         psi._schmidt[partition] = s
     return s
 
 
-def schmidt_spectra(amplitudes: np.ndarray, dims, partition: Partition) -> np.ndarray:
+def schmidt_spectra(amplitudes: np.ndarray, register: Register, partition: Partition) -> np.ndarray:
     """Nonincreasing Schmidt coefficients of each ket in a (..., d) stack: one batched SVD.
 
-    Each ket is reshaped to a d_A x d_B matrix, with A the subsystems in ``partition``.
+    Each ket is reshaped to a d_A x d_B matrix, with A the subsystems in ``partition``,
+    which must be a nonempty proper subset of the register's.
     """
+    partition.validate(register, proper=True)
+    dims = register.dims
     lead = amplitudes.shape[:-1]
     k = len(lead)
     rest = sorted(set(range(len(dims))) - partition.transposed)

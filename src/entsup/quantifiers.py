@@ -148,8 +148,7 @@ def rg_upper_via_mixing(rho: HermOp, pi: HermOp) -> RobustnessBounds:
 def rg_lower_pure(psi: Ket) -> tuple[float, list[int] | None]:
     """Best single-cut witness lower bound on the robustness of a pure state, and its cut.
 
-    A cut's value max(0, -<psi|W|psi>) for the W <= I cut witness of
-    :func:`entsup.witnesses.maxent_cut_expectation` is
+    A cut's value max(0, -<psi|W|psi>) for the W <= I cut witness is
     :func:`entsup.witnesses.maxent_cut_value` of the cut's Schmidt
     coefficients, so W is never built. The cut is given by its sorted indices,
     the lowest cut on a tie (:func:`best_single_cut`), or None when no cut

@@ -13,6 +13,7 @@ from . import linops, quantifiers
 from .linops import Partition
 from .qstate import (
     Ket,
+    RegisterMismatchError,
     SuperposCoeffs,
     basis_ket,
     complex_pairs,
@@ -20,13 +21,12 @@ from .qstate import (
     qubit_register,
     superpose,
 )
-from .quantifiers import QuantifierConfig, rg_lower_pure, rg_upper_pure
+from .quantifiers import QuantifierConfig, rg_upper_pure
 from .witnesses import (
     DEFAULT_SEED,
     REFLECTION_CLASS,
     Witness,
     maxent_cut_value,
-    negativity_witness_expectation,
     negativity_witness_values,
     reflection_expectation,
     witness_k,
@@ -141,33 +141,12 @@ def check_bound_negativity(
     the report checks ||gamma||^2 N(gamma/||gamma||) = -<gamma|W|gamma>
     <= |a|^2 N(psi) + |b|^2 N(phi) + 2|a||b| ||W||. The witness side is fully
     constructive: the negativity of the unit state and ||W|| both come from
-    its Schmidt coefficients
-    (:func:`entsup.witnesses.negativity_witness_expectation`).
+    its Schmidt coefficients (:func:`entsup.witnesses.negativity_witness_values`).
+    The instance is the one-row case of the sweep's evaluation, :func:`_bound_rows`.
     """
-    (e_psi, _), (e_phi, _) = (quantifiers.pt_profile(x, [partition])[0] for x in (psi, phi))
-    gamma_norm, gamma_hat = _superposition(psi, phi, coeffs)
-    lhs, w_norm = 0.0, 0.0
-    if gamma_hat is not None:
-        lhs, w_norm = negativity_witness_expectation(gamma_hat, partition)
-    return _make_report(
-        gamma_norm * lhs,
-        _rhs_terms(*_moduli(coeffs), e_psi, e_phi, w_norm),
-        "witness-norm",
-        gamma_norm,
-        instance=lambda: _instance_payload(psi, phi, coeffs, partition=partition),
-    )
-
-
-def _superposition(psi, phi, coeffs):
-    """gamma = a psi + b phi once: its squared norm and unit ket.
-
-    The squared norm scales every left side; the unit ket is None when gamma vanishes.
-    """
-    gamma = superpose(coeffs, psi, phi)
-    gamma_norm = gamma.norm() ** 2
-    if gamma_norm < VANISHING_NORM_SQ:
-        return gamma_norm, None
-    return gamma_norm, gamma.normalized()
+    for branch in (psi, phi):
+        linops.check_density(branch)
+    return _instance_report("negativity", psi, phi, coeffs, [partition])
 
 
 def check_bound_k(
@@ -184,7 +163,7 @@ def check_bound_k(
     ``e_gamma`` is the left side ||gamma||^2 E(gamma/||gamma||) for
     gamma = a psi + b phi, not E(gamma/||gamma||).
     """
-    gamma_norm = _superposition(psi, phi, coeffs)[0]
+    gamma_norm = superpose(coeffs, psi, phi).norm() ** 2
     return _class_report(psi, phi, coeffs, witness_k(w), e_psi, e_phi, e_gamma, gamma_norm)
 
 
@@ -333,48 +312,20 @@ def sweep_blocks(
 def sweep_block(
     config: QuantifierConfig, qubits: int, indices: range, seed: int = DEFAULT_SEED
 ) -> SweepColumns:
-    """The sweep's rows for the samples ``indices``, evaluated at once over stacked kets.
+    """The sweep's rows for the samples ``indices``, evaluated at once by :func:`_bound_rows`.
 
-    psi, phi and the unit gamma share one (3, N, d) stack. A gamma that
-    vanishes (squared norm below ``VANISHING_NORM_SQ``, as in
-    :func:`_superposition`) becomes the zero ket, whose every closed form is 0.
-    Each (branch, cut) pays one batched SVD; on single-qubit cuts every
-    spectrum has two entries, so they stack as (3, N, cuts, 2). The first
-    violating row, in (index, cut) order, raises.
+    The first violating row, in (index, cut) order, raises.
     """
     register = qubit_register(qubits)
     partitions = linops.single_cut_partitions(register)
-    kind = config.kind
     kets, a, b = _draw_block(register.size, indices, seed)
-    np.multiply(a[:, None], kets[0], out=kets[2])
-    kets[2] += b[:, None] * kets[1]
-    norm = _norms(kets[2])
-    gamma_norm = norm**2
-    vanishes = gamma_norm < VANISHING_NORM_SQ
-    kets[2] /= np.where(vanishes, 1.0, norm)[:, None]
-    kets[2, vanishes] = 0.0
-    s = np.array(
-        [[linops.schmidt_spectra(ket, register.dims, p) for p in partitions] for ket in kets]
-    ).transpose(0, 2, 1, 3)
-    if kind == "negativity":
-        e_psi, e_phi = quantifiers.schmidt_negativity(s[:2])
-        value, c = negativity_witness_values(s[2])
-        lhs = gamma_norm[:, None] * value
-    else:
-        e_psi, e_phi, e_gamma = quantifiers.best_single_cut(maxent_cut_value(s))[0][..., None]
-        lhs = gamma_norm[:, None] * e_gamma
-        c = _cut_witness_class(lhs)
-        _check_nonnegative(e_psi=e_psi, e_phi=e_phi, e_gamma=lhs)
-    # np.abs of a complex array may round differently from abs(complex); hypot does not.
-    abs_a, abs_b = (np.hypot(z.real, z.imag)[:, None] for z in (a, b))
-    rhs = sum(_rhs_terms(abs_a, abs_b, e_psi, e_phi, c))
+    abs_a, abs_b, _, lhs, terms, c = _bound_rows(config.kind, register, partitions, kets, a, b)
+    rhs = sum(terms)
     gap = rhs - lhs
     violation = _first_violation(gap)
     if violation is not None:
         row, col = violation
-        extra = {"partition": partitions[col]} if kind == "negativity" else {"k": float(c[row, 0])}
-        psi, phi = (Ket(register, ket[row]) for ket in kets[:2])
-        payload = _instance_payload(psi, phi, SuperposCoeffs(a[row], b[row]), **extra)
+        payload = _row_payload(config.kind, register, partitions, kets, a, b, c, row, col)
         err = _violation(*(float(x[row, col]) for x in (lhs, rhs, gap)), payload)
         err.instance.update({"sample_index": indices[row], "seed": seed})
         raise err
@@ -387,6 +338,65 @@ def sweep_block(
         rhs.ravel(),
         gap.ravel(),
     )
+
+
+def _bound_rows(kind, register, partitions, kets, a, b):
+    """|a|, |b|, ||gamma||^2, the left sides, :func:`_rhs_terms` and c of a (3, N, d) stack.
+
+    ``kets`` holds psi and phi; its third slice receives the unit gamma, or the
+    zero ket, whose every closed form is 0, where gamma vanishes (squared norm
+    below ``VANISHING_NORM_SQ``). Each cut pays one batched SVD over the three
+    branches; zeros pad the shorter spectra, adding nothing to any closed form.
+    c is ||W|| per cut for the negativity; for the robustness, the class k of
+    the best single-cut witness (1 where it witnesses anything, else 0).
+    """
+    np.multiply(a[:, None], kets[0], out=kets[2])
+    kets[2] += b[:, None] * kets[1]
+    norm = _norms(kets[2])
+    gamma_norm = norm**2
+    vanishes = gamma_norm < VANISHING_NORM_SQ
+    kets[2] /= np.where(vanishes, 1.0, norm)[:, None]
+    kets[2, vanishes] = 0.0
+    spectra = [linops.schmidt_spectra(kets, register, p) for p in partitions]
+    s = np.zeros(kets.shape[:2] + (len(partitions), max(x.shape[-1] for x in spectra)))
+    for j, x in enumerate(spectra):
+        s[..., j, : x.shape[-1]] = x
+    if kind == "negativity":
+        e_psi, e_phi = quantifiers.schmidt_negativity(s[:2])
+        value, c = negativity_witness_values(s[2])
+        lhs = gamma_norm[:, None] * value
+    else:
+        e_psi, e_phi, e_gamma = quantifiers.best_single_cut(maxent_cut_value(s))[0][..., None]
+        lhs = gamma_norm[:, None] * e_gamma
+        c = np.where(lhs > 0, max(REFLECTION_CLASS), 0.0)
+        _check_nonnegative(e_psi=e_psi, e_phi=e_phi, e_gamma=lhs)
+    # np.abs of a complex array may round differently from abs(complex); hypot does not.
+    abs_a, abs_b = (np.hypot(z.real, z.imag)[:, None] for z in (a, b))
+    return abs_a, abs_b, gamma_norm, lhs, _rhs_terms(abs_a, abs_b, e_psi, e_phi, c), c
+
+
+def _instance_report(kind, psi, phi, coeffs, partitions):
+    """The report of one instance, as the one-row stack of :func:`_bound_rows`."""
+    if psi.register != phi.register:
+        raise RegisterMismatchError("superposed kets live on different registers")
+    kets = np.zeros((3, 1, psi.register.size), dtype=np.complex128)
+    kets[0, 0], kets[1, 0] = psi.amplitudes, phi.amplitudes
+    a, b = np.array([coeffs.a]), np.array([coeffs.b])
+    _, _, gamma_norm, lhs, terms, c = _bound_rows(kind, psi.register, partitions, kets, a, b)
+    return _make_report(
+        float(lhs[0, 0]),
+        [float(term[0, 0]) for term in terms],
+        "witness-norm" if kind == "negativity" else "witness-class",
+        float(gamma_norm[0]),
+        instance=lambda: _row_payload(kind, psi.register, partitions, kets, a, b, c, 0, 0),
+    )
+
+
+def _row_payload(kind, register, partitions, kets, a, b, c, row, col):
+    """The instance payload of ``row`` and cut ``col`` of a :func:`_bound_rows` stack."""
+    extra = {"partition": partitions[col]} if kind == "negativity" else {"k": float(c[row, 0])}
+    psi, phi = (Ket(register, ket[row]) for ket in kets[:2])
+    return _instance_payload(psi, phi, SuperposCoeffs(a[row], b[row]), **extra)
 
 
 def _draw_block(size, indices, seed):
@@ -417,26 +427,9 @@ def _norms(kets: np.ndarray) -> np.ndarray:
 
 
 def _robustness_report(psi, phi, coeffs):
-    """Class-k bound with per-cut maximally-entangled witnesses.
-
-    For pure states the witnessed value of the best single cut equals the
-    bipartite generalized robustness across that cut. The values come from
-    Schmidt coefficients; the best cut's witness is a reflection (k = 1), or
-    the zero witness (k = 0) when no cut witnesses anything.
-    """
-    e_psi, e_phi = rg_lower_pure(psi)[0], rg_lower_pure(phi)[0]
-    gamma_norm, gamma_hat = _superposition(psi, phi, coeffs)
-    e_gamma = 0.0 if gamma_hat is None else gamma_norm * rg_lower_pure(gamma_hat)[0]
-    k = float(_cut_witness_class(e_gamma))
-    return _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma, gamma_norm)
-
-
-def _cut_witness_class(e_gamma):
-    """Class constant k of the best single-cut witness, for a number or an array of left sides.
-
-    The witness is a reflection (k = 1) where it witnesses anything, else the zero witness (k = 0).
-    """
-    return np.where(e_gamma > 0, max(REFLECTION_CLASS), 0.0)
+    """Class-k bound at the best single cut's maximally entangled witness (:func:`_bound_rows`)."""
+    partitions = linops.single_cut_partitions(psi.register)
+    return _instance_report("generalized_robustness", psi, phi, coeffs, partitions)
 
 
 def _make_report(lhs, terms, kind, gamma_norm, instance):

@@ -147,35 +147,18 @@ def ghz_witness(n: int, phi: float = 0.0) -> Witness:
     return _reflection_witness(state.register, state.amplitudes)
 
 
-def maxent_cut_expectation(psi: Ket, partition: Partition) -> float:
-    """<psi|W|psi> for the cut witness W = I - 2|chi><chi| of psi, from one SVD.
+def maxent_cut_value(s: np.ndarray) -> np.ndarray:
+    """-<psi|W|psi> for the cut witness W = I - 2|chi><chi| of psi, over the trailing Schmidt axis.
 
     chi is the maximally entangled state on psi's two leading Schmidt vectors
     across the cut. Its largest product overlap is 1/2, so W is a cap-identity
-    witness for that bipartition in ``REFLECTION_CLASS``. The value is minus
-    :func:`maxent_cut_value` of the cut's Schmidt coefficients.
-    """
-    return -float(maxent_cut_value(linops.schmidt_coefficients(psi, partition)))
-
-
-def maxent_cut_value(s: np.ndarray) -> np.ndarray:
-    """-<psi|W|psi> for the cut witness of :func:`maxent_cut_expectation`, over the trailing axis.
-
-    With Schmidt coefficients s_i, <chi|psi> = (s_1 + s_2)/sqrt(2), so the value
+    witness for that bipartition in ``REFLECTION_CLASS``. With Schmidt
+    coefficients s_i, <chi|psi> = (s_1 + s_2)/sqrt(2), so the value
     is (s_1 + s_2)^2 - sum_i s_i^2; for a unit psi it is the generalized
     robustness across the cut. Schmidt rank 1 gives the zero witness and 0.
     """
     value = (s[..., 0] + s[..., 1]) ** 2 - linops.row_dot(s, s)
     return np.where(s[..., 1] > SCHMIDT_RANK_TOL, value, 0.0)
-
-
-def negativity_witness_expectation(psi: Ket, partition: Partition) -> tuple[float, float]:
-    """-<psi|W|psi> and ||W|| for W = negativity_optimal_witness(|psi><psi|, partition).
-
-    Both come from the cut's Schmidt coefficients (:func:`negativity_witness_values`).
-    """
-    value, norm = negativity_witness_values(linops.schmidt_coefficients(psi, partition))
-    return float(value), float(norm)
 
 
 def negativity_witness_values(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,15 +6,25 @@ alternating projections onto the constraint cones, and the optimum is then
 bracketed by bisection on the weight. The partial transpose is realized
 through explicit digit arithmetic rather than the library's axis swaps.
 The dense constructors at the end (tensor products, Schmidt vectors and the
-cut witness as a d x d matrix) check the library's closed forms.
+cut witness as a d x d matrix) check the library's closed forms, and the two
+dense bound reports check the superposition bounds against them.
 """
 
 import math
 
 import numpy as np
 
-from entsup.qstate import Ket, Register
-from entsup.witnesses import SCHMIDT_RANK_TOL, _reflection_witness, zero_witness
+from entsup.linops import operator_norm, single_cut_partitions
+from entsup.qstate import Ket, Register, density, superpose
+from entsup.quantifiers import negativity
+from entsup.supbound import SATURATION_TOL, BoundReport, check_bound_k
+from entsup.witnesses import (
+    SCHMIDT_RANK_TOL,
+    _reflection_witness,
+    eval_witness,
+    negativity_optimal_witness,
+    zero_witness,
+)
 
 
 def _pt_index_map(dims, axes):
@@ -220,3 +230,48 @@ def maxent_cut_witness(psi, partition):
         + embed_product_vector(psi.register, partition, avecs[:, 1], bvecs[:, 1])
     ) / math.sqrt(2)
     return _reflection_witness(psi.register, chi)
+
+
+def dense_negativity_report(psi, phi, coeffs, partition):
+    """The negativity bound of one instance through d x d operators.
+
+    N(psi) and N(phi) are eigensolves of the partial transposes. The left side
+    -<gamma|W|gamma> and ||W|| come from W, the optimal witness of
+    gamma/||gamma|| built as a matrix; a gamma of squared norm below 1e-12
+    gives 0 for both.
+    """
+    gamma = superpose(coeffs, psi, phi)
+    gamma_norm = gamma.norm() ** 2
+    lhs = w_norm = 0.0
+    if gamma_norm >= 1e-12:
+        w = negativity_optimal_witness(density(gamma.normalized()), partition)
+        lhs, w_norm = -eval_witness(w, gamma), operator_norm(w.op)
+    abs_a, abs_b = abs(coeffs.a), abs(coeffs.b)
+    terms = (
+        abs_a**2 * negativity(density(psi), partition),
+        abs_b**2 * negativity(density(phi), partition),
+        2.0 * abs_a * abs_b * w_norm,
+    )
+    rhs = sum(terms)
+    gap = rhs - lhs
+    return BoundReport(lhs, *terms, rhs, gap, gap <= SATURATION_TOL, "witness-norm", gamma_norm)
+
+
+def dense_robustness_report(psi, phi, coeffs):
+    """The robustness bound of one instance through dense cut witnesses and check_bound_k."""
+    def best(ket):
+        value, witness = 0.0, zero_witness(ket.register)
+        for cut in single_cut_partitions(ket.register):
+            w = maxent_cut_witness(ket, cut)
+            v = max(0.0, -eval_witness(w, ket))
+            if v > value:
+                value, witness = v, w
+        return value, witness
+
+    gamma = superpose(coeffs, psi, phi)
+    norm = gamma.norm() ** 2
+    e_gamma, w = 0.0, zero_witness(psi.register)
+    if norm >= 1e-12:
+        e_hat, w = best(gamma.normalized())
+        e_gamma = norm * e_hat
+    return check_bound_k(psi, phi, coeffs, w, best(psi)[0], best(phi)[0], e_gamma)

@@ -140,6 +140,18 @@ def test_quantify_malformed_file(tmp_path, capsys):
         assert main(["quantify", str(path)]) == EXIT_INPUT
         error = json.loads(capsys.readouterr().err)["error"]
         assert re.match(rf"{re.escape(str(path))}: {location}", error), error
+    # Bytes that are not UTF-8, and a ket too small to renormalize (norm^2 = 1e-14).
+    tiny = [[1e-7, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    for content, reason in (
+        (b"\xff\xfe{}", "not UTF-8 text"),
+        (json.dumps({"dims": [2, 2], "amplitudes": tiny}).encode(), r"squared norm (\S+):"),
+    ):
+        path.write_bytes(content)
+        assert main(["quantify", str(path)]) == EXIT_INPUT
+        error = json.loads(capsys.readouterr().err)["error"]
+        found = re.match(rf"{re.escape(str(path))}: {reason}", error)
+        assert found, error
+    assert float(found[1]) == pytest.approx(1e-14, rel=1e-12)
 
 
 def test_ghz_saturation_command(capsys):
@@ -158,6 +170,9 @@ def test_ghz_saturation_usage_error(capsys):
     assert main(["ghz-saturation", "--n", "1"]) == EXIT_INPUT
     assert main(["ghz-saturation", "--n", "3", "--seed", "1"]) == EXIT_INPUT  # flag removed
     capsys.readouterr()
+    for phi in ("nan", "inf"):
+        assert main(["ghz-saturation", "--n", "3", "--phi", phi]) == EXIT_INPUT
+        assert "--phi" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_sweep_deterministic_csv(tmp_path, capsys):
@@ -203,7 +218,7 @@ def test_sweep_csv_is_streamed(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
-def test_sweep_usage_error(capsys):
+def test_sweep_usage_error(tmp_path, capsys):
     assert main(["sweep", "--samples", "0"]) == EXIT_INPUT
     assert main(["sweep", "--samples", "5", "--threads", "4"]) == EXIT_INPUT  # flag removed
     assert main(["sweep", "--samples", "5", "--renormalize"]) == EXIT_INPUT  # flag removed
@@ -212,6 +227,10 @@ def test_sweep_usage_error(capsys):
     for qubits in ("1", "0"):
         assert main(["sweep", "--samples", "5", "--qubits", qubits]) == EXIT_INPUT
         assert "--qubits" in json.loads(capsys.readouterr().err)["error"]
+    target = tmp_path / "rows.csv"
+    assert main(["sweep", "--samples", "5", "--seed", "-1", "--csv", str(target)]) == EXIT_INPUT
+    assert "--seed" in json.loads(capsys.readouterr().err)["error"]
+    assert list(tmp_path.iterdir()) == []  # neither the CSV nor its .part file
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])

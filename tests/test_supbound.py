@@ -11,7 +11,17 @@ from hypothesis import strategies as st
 
 from entsup import supbound
 from entsup.linops import part, single_cut_partitions
-from entsup.qstate import Ket, SuperposCoeffs, basis_ket, density, ghz, qubit_register, superpose
+from entsup.qstate import (
+    Ket,
+    Register,
+    RegisterMismatchError,
+    SuperposCoeffs,
+    basis_ket,
+    density,
+    ghz,
+    qubit_register,
+    superpose,
+)
 from entsup.quantifiers import QuantifierConfig, negativity
 from entsup.supbound import (
     BoundViolationError,
@@ -23,10 +33,12 @@ from entsup.supbound import (
     rhs_from_witness_class,
     rhs_from_witness_norm,
 )
-from entsup.witnesses import eval_witness, ghz_witness, zero_witness
+from entsup.witnesses import ghz_witness
 
 from conftest import random_pure_amplitudes
-from oracles import maxent_cut_witness
+from oracles import dense_negativity_report, dense_robustness_report
+
+REPORT_FIELDS = ("lhs", "term_psi", "term_phi", "cross_term", "rhs", "gap", "gamma_norm")
 
 
 def test_rhs_from_witness_norm_examples():
@@ -218,26 +230,6 @@ def test_ghz_saturation_experiment_examples():
         ghz_saturation_experiment(1)
 
 
-def _dense_robustness_report(psi, phi, coeffs):
-    """The sweep's robustness report through dense cut witnesses and check_bound_k."""
-    def best(ket):
-        value, witness = 0.0, zero_witness(ket.register)
-        for cut in single_cut_partitions(ket.register):
-            w = maxent_cut_witness(ket, cut)
-            v = max(0.0, -eval_witness(w, ket))
-            if v > value:
-                value, witness = v, w
-        return value, witness
-
-    gamma = superpose(coeffs, psi, phi)
-    norm = gamma.norm() ** 2
-    e_gamma, w = 0.0, zero_witness(psi.register)
-    if norm >= 1e-12:
-        e_hat, w = best(gamma.normalized())
-        e_gamma = norm * e_hat
-    return check_bound_k(psi, phi, coeffs, w, best(psi)[0], best(phi)[0], e_gamma)
-
-
 def test_robustness_report_matches_dense_witnesses(rng):
     reg = qubit_register(3)
     zero, one = basis_ket(reg, (0, 0, 0)), basis_ket(reg, (1, 1, 1))
@@ -252,10 +244,53 @@ def test_robustness_report_matches_dense_witnesses(rng):
         cases.append((psi, phi, SuperposCoeffs(0.8, cmath.exp(0.3j) * 0.6)))
     for psi, phi, coeffs in cases:
         got = _robustness_report(psi, phi, coeffs)
-        want = _dense_robustness_report(psi, phi, coeffs)
-        for field in ("lhs", "term_psi", "term_phi", "cross_term", "rhs", "gap", "gamma_norm"):
+        want = dense_robustness_report(psi, phi, coeffs)
+        for field in REPORT_FIELDS:
             assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12)
         assert got.saturated == want.saturated
+
+
+def test_scalar_checks_match_the_dense_oracles(rng):
+    # The single cuts of a (2, 2, 3) register have 2, 2 and 3 Schmidt
+    # coefficients, so the robustness stacks padded spectra; part(0, 2) splits 6 | 2.
+    reg = Register((2, 2, 3))
+    coeffs = SuperposCoeffs(0.8, cmath.exp(0.3j) * 0.6)
+    for _ in range(10):
+        psi, phi = (Ket(reg, random_pure_amplitudes(rng, reg.size)) for _ in range(2))
+        pairs = [
+            (check_bound_negativity(psi, phi, coeffs, cut),
+             dense_negativity_report(psi, phi, coeffs, cut))
+            for cut in (part(0), part(2), part(0, 2))
+        ]
+        pairs.append(
+            (_robustness_report(psi, phi, coeffs), dense_robustness_report(psi, phi, coeffs))
+        )
+        for got, want in pairs:
+            for field in REPORT_FIELDS:
+                assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12)
+            assert got.saturated == want.saturated
+
+
+def test_scalar_checks_keep_every_input_check():
+    reg = qubit_register(2)
+    psi, phi = ghz(2, 0.0), basis_ket(reg, (0, 1))
+    coeffs = SuperposCoeffs(0.6, 0.8)
+    for cut in (part(), part(0, 1)):
+        with pytest.raises(ValueError, match="^entanglement tests need a nonempty proper subset"):
+            check_bound_negativity(psi, phi, coeffs, cut)
+    with pytest.raises(ValueError, match="^subsystem index 5 invalid for a 2-part register$"):
+        check_bound_negativity(psi, phi, coeffs, part(5))
+    long = Ket(reg, 1.1 * psi.amplitudes)
+    for branches in ((long, phi), (psi, long)):
+        with pytest.raises(ValueError, match="^state trace .* is not 1$"):
+            check_bound_negativity(*branches, coeffs, part(0))
+    # (2, 3) and (3, 2) have equal sizes, so their amplitudes alone would stack.
+    same_size = tuple(Ket(Register(dims), np.eye(6)[0]) for dims in ((2, 3), (3, 2)))
+    for pair in ((psi, ghz(3, 0.0)), same_size):
+        with pytest.raises(RegisterMismatchError):
+            check_bound_negativity(*pair, coeffs, part(0))
+        with pytest.raises(RegisterMismatchError):
+            _robustness_report(*pair, coeffs)
 
 
 def test_ghz_saturation_experiment_builds_no_dense_operator():
@@ -331,6 +366,7 @@ def _sweep_instance(seed, index, qubits):
 @pytest.mark.parametrize("kind", ["negativity", "generalized_robustness"])
 @pytest.mark.parametrize("qubits", [2, 3])
 def test_sweep_rows_match_the_scalar_bound(kind, qubits):
+    # Each row against the dense oracles, which share no code with the sweep's evaluation.
     samples = 20
     for seed in range(3):
         summary = random_sweep(QuantifierConfig(kind=kind), qubits, samples, seed=seed)
@@ -339,11 +375,11 @@ def test_sweep_rows_match_the_scalar_bound(kind, qubits):
             psi, phi, coeffs = _sweep_instance(seed, index, qubits)
             if kind == "negativity":
                 reports = [
-                    check_bound_negativity(psi, phi, coeffs, p)
+                    dense_negativity_report(psi, phi, coeffs, p)
                     for p in single_cut_partitions(psi.register)
                 ]
             else:
-                reports = [_robustness_report(psi, phi, coeffs)]
+                reports = [dense_robustness_report(psi, phi, coeffs)]
             want += [(index, abs(coeffs.a), abs(coeffs.b), r.lhs, r.rhs, r.gap) for r in reports]
         got = [(r.index, r.abs_a, r.abs_b, r.lhs, r.rhs, r.gap) for r in summary.records]
         assert [row[:3] for row in got] == [row[:3] for row in want]
