@@ -47,8 +47,7 @@ from .supbound import (
     check_bound_negativity,
     ghz_saturation_experiment,
     random_sweep,
-    rhs_from_witness_class,
-    rhs_from_witness_norm,
+    rhs_from_witness,
 )
 from .witnesses import (
     ProductSearchConfig,

@@ -42,6 +42,12 @@ class QuantifierConfig:
 
     kind: Literal["negativity", "generalized_robustness"] = "negativity"
 
+    def __post_init__(self):
+        if self.kind not in ("negativity", "generalized_robustness"):
+            raise ValueError(
+                f"kind must be 'negativity' or 'generalized_robustness', got {self.kind!r}"
+            )
+
 
 def pt_profile(
     state: HermOp | Ket, partitions: Sequence[Partition]

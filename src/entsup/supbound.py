@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
@@ -81,16 +81,6 @@ class BoundReport:
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    index: int
-    abs_a: float
-    abs_b: float
-    lhs: float
-    rhs: float
-    gap: float
-
-
-@dataclass(frozen=True)
 class SweepSummary:
     samples: int
     min_gap: float
@@ -98,23 +88,12 @@ class SweepSummary:
     violations: int
     seed: int
     config: dict
-    records: tuple[SweepRecord, ...] = field(repr=False, default=())
 
 
-def rhs_from_witness_norm(
-    coeffs: SuperposCoeffs, e_psi: float, e_phi: float, witness_norm: float
-) -> float:
-    """Bound |a|^2 e_psi + |b|^2 e_phi + 2|a||b| * witness_norm."""
-    _check_nonnegative(e_psi=e_psi, e_phi=e_phi, witness_norm=witness_norm)
-    return sum(_rhs_terms(*_moduli(coeffs), e_psi, e_phi, witness_norm))
-
-
-def rhs_from_witness_class(
-    coeffs: SuperposCoeffs, e_psi: float, e_phi: float, k: float
-) -> float:
-    """Bound |a|^2 e_psi + |b|^2 e_phi + 2 k |a||b| for a spectral class k."""
-    _check_nonnegative(e_psi=e_psi, e_phi=e_phi, k=k)
-    return sum(_rhs_terms(*_moduli(coeffs), e_psi, e_phi, k))
+def rhs_from_witness(coeffs: SuperposCoeffs, e_psi: float, e_phi: float, c: float) -> float:
+    """Bound |a|^2 e_psi + |b|^2 e_phi + 2|a||b| c, with c = ||W|| or a spectral class k."""
+    _check_nonnegative(e_psi=e_psi, e_phi=e_phi, c=c)
+    return sum(_rhs_terms(abs(coeffs.a), abs(coeffs.b), e_psi, e_phi, c))
 
 
 def _rhs_terms(abs_a, abs_b, e_psi, e_phi, k):
@@ -123,10 +102,6 @@ def _rhs_terms(abs_a, abs_b, e_psi, e_phi, k):
     Each argument is a number or an array; the sweep passes one entry per row.
     """
     return abs_a**2 * e_psi, abs_b**2 * e_phi, 2.0 * (abs_a * abs_b) * k
-
-
-def _moduli(coeffs: SuperposCoeffs) -> tuple[float, float]:
-    return abs(coeffs.a), abs(coeffs.b)
 
 
 def check_bound_negativity(
@@ -172,7 +147,7 @@ def _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma, gamma_norm) -> Bou
     _check_nonnegative(e_psi=e_psi, e_phi=e_phi, e_gamma=e_gamma)
     return _make_report(
         e_gamma,
-        _rhs_terms(*_moduli(coeffs), e_psi, e_phi, k),
+        _rhs_terms(abs(coeffs.a), abs(coeffs.b), e_psi, e_phi, k),
         "witness-class",
         gamma_norm,
         instance=lambda: _instance_payload(psi, phi, coeffs, k=k),
@@ -237,15 +212,11 @@ def random_sweep(
     State pairs are drawn from the rotation-invariant complex normal ensemble,
     coefficients as (cos t, e^{i x} sin t) with t, x uniform. Sample index i
     runs on its own substream of ``seed``, so summaries are reproducible.
-    The rows come from :func:`sweep_blocks`; this keeps every one of them.
+    The rows come from :func:`sweep_blocks`; like the CLI, this keeps only
+    their gap columns.
     """
-    blocks = list(sweep_blocks(config, qubits, samples, seed))
-    records = tuple(
-        SweepRecord(*row)
-        for block in blocks
-        for row in zip(*(column.tolist() for column in block))
-    )
-    return summarize_sweep(config, qubits, samples, seed, [block.gap for block in blocks], records)
+    gaps = [block.gap for block in sweep_blocks(config, qubits, samples, seed)]
+    return summarize_sweep(config, qubits, samples, seed, gaps)
 
 
 def summarize_sweep(
@@ -254,7 +225,6 @@ def summarize_sweep(
     samples: int,
     seed: int,
     gaps: list[np.ndarray],
-    records: tuple[SweepRecord, ...] = (),
 ) -> SweepSummary:
     """The summary of a finished sweep, from the gap columns of its blocks."""
     gap = np.concatenate(gaps)
@@ -270,7 +240,6 @@ def summarize_sweep(
             "qubits": qubits,
             "partitions": sorted(sorted(p.transposed) for p in partitions),
         },
-        records=records,
     )
 
 
@@ -299,6 +268,8 @@ def sweep_blocks(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     register = qubit_register(qubits)
     partitions = linops.single_cut_partitions(register)
     rows = samples * (len(partitions) if config.kind == "negativity" else 1)

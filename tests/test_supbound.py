@@ -25,13 +25,14 @@ from entsup.qstate import (
 from entsup.quantifiers import QuantifierConfig, negativity
 from entsup.supbound import (
     BoundViolationError,
+    SweepColumns,
     _robustness_report,
     check_bound_k,
     check_bound_negativity,
     ghz_saturation_experiment,
     random_sweep,
-    rhs_from_witness_class,
-    rhs_from_witness_norm,
+    rhs_from_witness,
+    sweep_blocks,
 )
 from entsup.witnesses import ghz_witness
 
@@ -43,30 +44,31 @@ REPORT_FIELDS = ("lhs", "term_psi", "term_phi", "cross_term", "rhs", "gap", "gam
 
 def test_rhs_from_witness_norm_examples():
     c = SuperposCoeffs(1 / math.sqrt(2), 1 / math.sqrt(2))
-    assert rhs_from_witness_norm(c, 0.0, 0.0, 0.5) == pytest.approx(0.5)
+    assert rhs_from_witness(c, 0.0, 0.0, 0.5) == pytest.approx(0.5)
     c2 = SuperposCoeffs(0.9, 0.0)
-    assert rhs_from_witness_norm(c2, 0.7, 3.0, 1.0) == pytest.approx(0.81 * 0.7)
+    assert rhs_from_witness(c2, 0.7, 3.0, 1.0) == pytest.approx(0.81 * 0.7)
     c3 = SuperposCoeffs(0.6, 0.8)
-    assert rhs_from_witness_norm(c3, 1.0, 1.0, 1.0) == pytest.approx(1.96)
-    with pytest.raises(ValueError):
-        rhs_from_witness_norm(c, -0.1, 0.0, 0.5)
+    assert rhs_from_witness(c3, 1.0, 1.0, 1.0) == pytest.approx(1.96)
+    for args in ((-0.1, 0.0, 0.5), (0.0, -0.1, 0.5), (0.0, 0.0, -0.5)):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            rhs_from_witness(c, *args)
 
 
 def test_rhs_from_witness_class_examples():
     c = SuperposCoeffs(1 / math.sqrt(2), 1 / math.sqrt(2))
-    assert rhs_from_witness_class(c, 0.0, 0.0, 1.0) == pytest.approx(1.0)
+    assert rhs_from_witness(c, 0.0, 0.0, 1.0) == pytest.approx(1.0)
     c2 = SuperposCoeffs(0.6, 0.8)
-    assert rhs_from_witness_class(c2, 0.5, 0.25, 0.0) == pytest.approx(
+    assert rhs_from_witness(c2, 0.5, 0.25, 0.0) == pytest.approx(
         0.36 * 0.5 + 0.64 * 0.25
     )
     c3 = SuperposCoeffs(1.0, 0.0)
-    assert rhs_from_witness_class(c3, 0.77, 0.0, 1.0) == pytest.approx(0.77)
+    assert rhs_from_witness(c3, 0.77, 0.0, 1.0) == pytest.approx(0.77)
 
 
 def test_rhs_monotone_in_witness_norm():
     c = SuperposCoeffs(0.6, 0.8)
-    lo = rhs_from_witness_norm(c, 0.3, 0.4, 0.5)
-    hi = rhs_from_witness_norm(c, 0.3, 0.4, 0.9)
+    lo = rhs_from_witness(c, 0.3, 0.4, 0.5)
+    hi = rhs_from_witness(c, 0.3, 0.4, 0.9)
     assert hi > lo
 
 
@@ -327,20 +329,33 @@ def test_phase_invariance_of_reports():
             )
 
 
+def _sweep_rows(config, qubits, samples, seed):
+    """Every row of a sweep: the columns of its blocks, concatenated."""
+    return SweepColumns(*map(np.concatenate, zip(*sweep_blocks(config, qubits, samples, seed))))
+
+
+def _assert_same_rows(one, two):
+    for name, x, y in zip(SweepColumns._fields, one, two):
+        assert np.array_equal(x, y), name
+
+
 def test_sweep_negativity_small():
-    summary = random_sweep(
-        QuantifierConfig(kind="negativity"), qubits=2, samples=100, seed=42
-    )
+    config = QuantifierConfig(kind="negativity")
+    summary = random_sweep(config, qubits=2, samples=100, seed=42)
     assert summary.violations == 0
     assert summary.min_gap >= -1e-8
     assert summary.samples == 100
-    assert len(summary.records) == 200  # two single cuts per sample
+    rows = _sweep_rows(config, 2, 100, 42)
+    assert len(rows.gap) == 200  # two single cuts per sample
+    assert summary.min_gap == rows.gap.min()
 
 
 def test_sweep_single_sample_echoes_gap():
-    summary = random_sweep(QuantifierConfig(kind="negativity"), qubits=2, samples=1, seed=5)
-    assert [r.index for r in summary.records] == [0, 0]  # the two single cuts
-    gaps = [r.gap for r in summary.records]
+    config = QuantifierConfig(kind="negativity")
+    summary = random_sweep(config, qubits=2, samples=1, seed=5)
+    rows = _sweep_rows(config, 2, 1, 5)
+    assert rows.index.tolist() == [0, 0]  # the two single cuts
+    gaps = rows.gap.tolist()
     assert summary.min_gap == min(gaps)
     assert summary.mean_gap == pytest.approx(sum(gaps) / 2, abs=1e-15)
     assert summary.config["partitions"] == [[0], [1]]
@@ -351,6 +366,7 @@ def test_sweep_deterministic_and_thread_safe():
     one = random_sweep(config, qubits=3, samples=40, seed=9)
     two = random_sweep(config, qubits=3, samples=40, seed=9)
     assert one == two
+    _assert_same_rows(_sweep_rows(config, 3, 40, 9), _sweep_rows(config, 3, 40, 9))
 
 
 def _sweep_instance(seed, index, qubits):
@@ -369,7 +385,7 @@ def test_sweep_rows_match_the_scalar_bound(kind, qubits):
     # Each row against the dense oracles, which share no code with the sweep's evaluation.
     samples = 20
     for seed in range(3):
-        summary = random_sweep(QuantifierConfig(kind=kind), qubits, samples, seed=seed)
+        rows = _sweep_rows(QuantifierConfig(kind=kind), qubits, samples, seed)
         want = []
         for index in range(samples):
             psi, phi, coeffs = _sweep_instance(seed, index, qubits)
@@ -381,7 +397,7 @@ def test_sweep_rows_match_the_scalar_bound(kind, qubits):
             else:
                 reports = [dense_robustness_report(psi, phi, coeffs)]
             want += [(index, abs(coeffs.a), abs(coeffs.b), r.lhs, r.rhs, r.gap) for r in reports]
-        got = [(r.index, r.abs_a, r.abs_b, r.lhs, r.rhs, r.gap) for r in summary.records]
+        got = list(zip(*(column.tolist() for column in rows)))
         assert [row[:3] for row in got] == [row[:3] for row in want]
         np.testing.assert_allclose(
             [row[3:] for row in got], [row[3:] for row in want], rtol=0, atol=1e-12
@@ -394,19 +410,20 @@ def test_sweep_blocks_do_not_change_rows(monkeypatch, kind, qubits):
     # 8 amplitudes a block hold 2 samples on two qubits and 1 on three, so
     # 7 samples end on a partial block or run one sample per block.
     config = QuantifierConfig(kind=kind)
-    whole = random_sweep(config, qubits, samples=7, seed=11)
+    whole, summary = _sweep_rows(config, qubits, 7, 11), random_sweep(config, qubits, 7, 11)
     monkeypatch.setattr(supbound, "SWEEP_BLOCK_AMPLITUDES", 8)
-    blocks = supbound.sweep_blocks(config, qubits, 7, 11)
+    blocks = sweep_blocks(config, qubits, 7, 11)
     sizes = [len(set(block.index.tolist())) for block in blocks]
     assert sizes == ([2, 2, 2, 1] if qubits == 2 else [1] * 7)
-    assert random_sweep(config, qubits, samples=7, seed=11) == whole
+    _assert_same_rows(_sweep_rows(config, qubits, 7, 11), whole)
+    assert random_sweep(config, qubits, 7, 11) == summary
 
 
 def test_sweep_row_limit_counts_rows_per_sample(monkeypatch):
     monkeypatch.setattr(supbound, "MAX_SWEEP_ROWS", 6)
-    assert len(random_sweep(QuantifierConfig(), qubits=3, samples=2).records) == 6
+    assert len(_sweep_rows(QuantifierConfig(), 3, 2, 0).gap) == 6
     robustness = QuantifierConfig(kind="generalized_robustness")
-    assert len(random_sweep(robustness, qubits=3, samples=6).records) == 6
+    assert len(_sweep_rows(robustness, 3, 6, 0).gap) == 6
     with pytest.raises(ValueError, match="exceeds the limit"):
         random_sweep(QuantifierConfig(), qubits=3, samples=3)
     with pytest.raises(ValueError, match="exceeds the limit"):
@@ -416,6 +433,39 @@ def test_sweep_row_limit_counts_rows_per_sample(monkeypatch):
 def test_sweep_validates_sample_count():
     with pytest.raises(ValueError):
         random_sweep(QuantifierConfig(), qubits=2, samples=0)
+
+
+def test_sweep_checks_its_seed_before_sampling(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sample was drawn for a negative seed")
+
+    monkeypatch.setattr(supbound, "sweep_block", unreachable)
+    for sweep in (sweep_blocks, random_sweep):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            sweep(QuantifierConfig(), 2, 5, -1)
+
+
+def test_quantifier_config_accepts_only_the_sweep_kinds():
+    for kind in ("negativity", "generalized_robustness"):
+        assert QuantifierConfig(kind=kind).kind == kind
+    for kind in ("robustness", "bogus"):
+        with pytest.raises(ValueError, match="'negativity' or 'generalized_robustness'"):
+            QuantifierConfig(kind=kind)
+
+
+def test_random_sweep_keeps_no_per_row_objects(monkeypatch):
+    # 4 000 two-qubit samples give 8 000 rows. Their gap column takes 63 KiB and
+    # one block of 256 samples a few more; an object per row would take megabytes.
+    monkeypatch.setattr(supbound, "SWEEP_BLOCK_AMPLITUDES", 2**10)
+    random_sweep(QuantifierConfig(), 2, 300, 1)  # warm-up: one-time allocations stay out
+    tracemalloc.start()
+    try:
+        summary = random_sweep(QuantifierConfig(), 2, 4000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert summary.samples == 4000 and summary.min_gap >= -1e-8
 
 
 @given(
