@@ -209,6 +209,9 @@ def cmd_ghz_saturation(args) -> tuple[dict, int]:
             "upper": err.upper,
         }
         return _run_report("ghz-saturation", config, results), EXIT_SATURATION
+    except BoundViolationError as err:
+        results = {"error": str(err), "instance": err.instance}
+        return _run_report("ghz-saturation", config, results), EXIT_VIOLATION
     return _run_report("ghz-saturation", config, {"report": dataclasses.asdict(report)}), EXIT_OK
 
 
@@ -226,17 +229,12 @@ def cmd_sweep(args) -> tuple[dict, int]:
         gaps = _consume_sweep(blocks, args.csv)
     except BoundViolationError as err:
         results = {"error": str(err), "instance": err.instance}
-        cfg = {"quantifier": args.quantifier, "qubits": args.qubits, "samples": args.samples}
+        cfg = supbound.sweep_config(config, args.qubits)
         return _run_report("sweep", cfg, results, seed=args.seed), EXIT_VIOLATION
     summary = supbound.summarize_sweep(config, args.qubits, args.samples, args.seed, gaps)
-    results = {
-        "samples": summary.samples,
-        "min_gap": summary.min_gap,
-        "mean_gap": summary.mean_gap,
-        "violations": summary.violations,
-        "config": summary.config,
-    }
-    return _run_report("sweep", results["config"], results, seed=args.seed), EXIT_OK
+    results = dataclasses.asdict(summary)
+    del results["seed"]  # the report carries it at the top level
+    return _run_report("sweep", summary.config, results, seed=args.seed), EXIT_OK
 
 
 def _consume_sweep(blocks, path: str | None) -> list[np.ndarray]:

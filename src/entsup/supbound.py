@@ -139,18 +139,19 @@ def check_bound_k(
     gamma = a psi + b phi, not E(gamma/||gamma||).
     """
     gamma_norm = superpose(coeffs, psi, phi).norm() ** 2
-    return _class_report(psi, phi, coeffs, witness_k(w), e_psi, e_phi, e_gamma, gamma_norm)
+    k = witness_k(w)
+    return _class_report(lambda: (psi, phi), coeffs, k, e_psi, e_phi, e_gamma, gamma_norm)
 
 
-def _class_report(psi, phi, coeffs, k, e_psi, e_phi, e_gamma, gamma_norm) -> BoundReport:
-    """The class-k bound for a witness whose class constant k is already known."""
+def _class_report(branches, coeffs, k, e_psi, e_phi, e_gamma, gamma_norm) -> BoundReport:
+    """The class-k bound for a known class constant k; ``branches()`` builds psi and phi."""
     _check_nonnegative(e_psi=e_psi, e_phi=e_phi, e_gamma=e_gamma)
     return _make_report(
         e_gamma,
         _rhs_terms(abs(coeffs.a), abs(coeffs.b), e_psi, e_phi, k),
         "witness-class",
         gamma_norm,
-        instance=lambda: _instance_payload(psi, phi, coeffs, k=k),
+        payload=lambda _: _instance_payload(*branches(), coeffs, k=k),
     )
 
 
@@ -160,16 +161,13 @@ def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
     The superposition of |0...0> and |1...1> with balanced coefficients is the
     GHZ state; its robustness is pinned by the witness lower bound against the
     certified l1 upper bound (both 1), the branch terms vanish because the
-    branches are product states, and the class constant is 1, so the bound
-    holds with equality. The witness is the reflection I - 2|GHZ><GHZ| of
-    :func:`entsup.witnesses.ghz_witness`, evaluated on the ket and classed by
-    its known spectrum; no 2^n x 2^n matrix is built.
+    branches are basis kets (built only for a violation's payload), and the
+    class constant is 1, so the bound holds with equality. The witness is the
+    reflection I - 2|GHZ><GHZ| of :func:`entsup.witnesses.ghz_witness`, evaluated
+    on the ket and classed by its known spectrum; no 2^n x 2^n matrix is built.
     """
     if n < 2:
         raise ValueError(f"the saturation experiment needs n >= 2, got {n}")
-    reg = qubit_register(n)
-    branch_zero = basis_ket(reg, (0,) * n)
-    branch_one = basis_ket(reg, (1,) * n)
     coeffs = SuperposCoeffs(
         1 / math.sqrt(2), cmath.exp(1j * phi) / math.sqrt(2)
     )
@@ -184,13 +182,9 @@ def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
             upper=upper,
         )
 
-    for branch in (branch_zero, branch_one):
-        if not quantifiers.separability_certificate_diagonal(branch):
-            raise SaturationFailureError("product branch failed its separability check")
-
-    k = max(REFLECTION_CLASS)
     report = _class_report(
-        branch_zero, branch_one, coeffs, k, 0.0, 0.0, lower, gamma.norm() ** 2
+        lambda: tuple(basis_ket(gamma.register, (bit,) * n) for bit in (0, 1)),
+        coeffs, max(REFLECTION_CLASS), 0.0, 0.0, lower, gamma.norm() ** 2,
     )
     if not report.saturated:
         raise SaturationFailureError(
@@ -228,19 +222,24 @@ def summarize_sweep(
 ) -> SweepSummary:
     """The summary of a finished sweep, from the gap columns of its blocks."""
     gap = np.concatenate(gaps)
-    partitions = linops.single_cut_partitions(qubit_register(qubits))
     return SweepSummary(
         samples=samples,
         min_gap=float(gap.min()),
         mean_gap=float(gap.mean()),
         violations=0,
         seed=seed,
-        config={
-            "kind": config.kind,
-            "qubits": qubits,
-            "partitions": sorted(sorted(p.transposed) for p in partitions),
-        },
+        config=sweep_config(config, qubits),
     )
+
+
+def sweep_config(config: QuantifierConfig, qubits: int) -> dict:
+    """The ``config`` of a sweep's report, whether the sweep passed or found a violation."""
+    partitions = linops.single_cut_partitions(qubit_register(qubits))
+    return {
+        "kind": config.kind,
+        "qubits": qubits,
+        "partitions": sorted(sorted(p.transposed) for p in partitions),
+    }
 
 
 class SweepColumns(NamedTuple):
@@ -291,15 +290,12 @@ def sweep_block(
     partitions = linops.single_cut_partitions(register)
     kets, a, b = _draw_block(register.size, indices, seed)
     abs_a, abs_b, _, lhs, terms, c = _bound_rows(config.kind, register, partitions, kets, a, b)
-    rhs = sum(terms)
-    gap = rhs - lhs
-    violation = _first_violation(gap)
-    if violation is not None:
-        row, col = violation
-        payload = _row_payload(config.kind, register, partitions, kets, a, b, c, row, col)
-        err = _violation(*(float(x[row, col]) for x in (lhs, rhs, gap)), payload)
-        err.instance.update({"sample_index": indices[row], "seed": seed})
-        raise err
+    rhs, gap = _check_rows(
+        lhs,
+        terms,
+        lambda pos: _row_payload(config.kind, register, partitions, kets, a, b, c, *pos),
+        lambda pos: {"sample_index": indices[pos[0]], "seed": seed},
+    )
     cuts = gap.shape[1]
     return SweepColumns(
         np.repeat(np.asarray(indices), cuts),
@@ -340,7 +336,6 @@ def _bound_rows(kind, register, partitions, kets, a, b):
         e_psi, e_phi, e_gamma = quantifiers.best_single_cut(maxent_cut_value(s))[0][..., None]
         lhs = gamma_norm[:, None] * e_gamma
         c = np.where(lhs > 0, max(REFLECTION_CLASS), 0.0)
-        _check_nonnegative(e_psi=e_psi, e_phi=e_phi, e_gamma=lhs)
     # np.abs of a complex array may round differently from abs(complex); hypot does not.
     abs_a, abs_b = (np.hypot(z.real, z.imag)[:, None] for z in (a, b))
     return abs_a, abs_b, gamma_norm, lhs, _rhs_terms(abs_a, abs_b, e_psi, e_phi, c), c
@@ -359,13 +354,14 @@ def _instance_report(kind, psi, phi, coeffs, partitions):
         [float(term[0, 0]) for term in terms],
         "witness-norm" if kind == "negativity" else "witness-class",
         float(gamma_norm[0]),
-        instance=lambda: _row_payload(kind, psi.register, partitions, kets, a, b, c, 0, 0),
+        payload=lambda _: _row_payload(kind, psi.register, partitions, kets, a, b, c, 0, 0),
     )
 
 
 def _row_payload(kind, register, partitions, kets, a, b, c, row, col):
     """The instance payload of ``row`` and cut ``col`` of a :func:`_bound_rows` stack."""
-    extra = {"partition": partitions[col]} if kind == "negativity" else {"k": float(c[row, 0])}
+    cut = sorted(partitions[col].transposed)
+    extra = {"partition": cut} if kind == "negativity" else {"k": float(c[row, 0])}
     psi, phi = (Ket(register, ket[row]) for ket in kets[:2])
     return _instance_payload(psi, phi, SuperposCoeffs(a[row], b[row]), **extra)
 
@@ -403,13 +399,10 @@ def _robustness_report(psi, phi, coeffs):
     return _instance_report("generalized_robustness", psi, phi, coeffs, partitions)
 
 
-def _make_report(lhs, terms, kind, gamma_norm, instance):
-    """Assemble the report; ``instance()`` builds the payload only on a violation."""
+def _make_report(lhs, terms, kind, gamma_norm, payload):
+    """Assemble the report; ``payload`` is as for :func:`_check_rows`."""
+    rhs, gap = _check_rows(lhs, terms, payload)
     term_psi, term_phi, cross = terms
-    rhs = term_psi + term_phi + cross
-    gap = rhs - lhs
-    if _first_violation(gap) is not None:
-        raise _violation(lhs, rhs, gap, instance())
     return BoundReport(
         lhs=lhs,
         term_psi=term_psi,
@@ -423,36 +416,35 @@ def _make_report(lhs, terms, kind, gamma_norm, instance):
     )
 
 
-def _first_violation(gap):
-    """Position of the first entry of ``gap``, in row-major order, below -VIOLATION_TOL, or None."""
+def _check_rows(lhs, terms, payload, after=lambda pos: {}):
+    """rhs = sum(terms) and gap = rhs - lhs, for one row (numbers) or many (arrays).
+
+    The first row, in row-major order, with gap < -VIOLATION_TOL raises. Its
+    instance holds ``payload(pos)``, then lhs, rhs and gap, then ``after(pos)``,
+    with ``pos`` the row's index tuple; neither is called on a passing check.
+    """
+    rhs = sum(terms)
+    gap = rhs - lhs
     violated = np.asarray(gap) < -VIOLATION_TOL
-    if not violated.any():
-        return None
-    return np.unravel_index(np.argmax(violated), violated.shape)
-
-
-def _violation(lhs, rhs, gap, payload) -> BoundViolationError:
-    """The error for lhs > rhs + VIOLATION_TOL; both sides join the instance payload."""
-    payload.update({"lhs": lhs, "rhs": rhs, "gap": gap})
-    return BoundViolationError(
-        f"bound violated: lhs {lhs!r} exceeds rhs {rhs!r}", instance=payload
-    )
+    if violated.any():
+        pos = np.unravel_index(np.argmax(violated), violated.shape)
+        lhs_v, rhs_v, gap_v = (np.asarray(x)[pos].item() for x in (lhs, rhs, gap))
+        raise BoundViolationError(
+            f"bound violated: lhs {lhs_v!r} exceeds rhs {rhs_v!r}",
+            instance={**payload(pos), "lhs": lhs_v, "rhs": rhs_v, "gap": gap_v, **after(pos)},
+        )
+    return rhs, gap
 
 
 def _instance_payload(psi, phi, coeffs, **extra):
-    payload = {
+    return {
         "dims": list(psi.register.dims),
         "psi": complex_pairs(psi.amplitudes),
         "phi": complex_pairs(phi.amplitudes),
         "a": [coeffs.a.real, coeffs.a.imag],
         "b": [coeffs.b.real, coeffs.b.imag],
+        **extra,
     }
-    for key, value in extra.items():
-        if isinstance(value, Partition):
-            payload[key] = sorted(value.transposed)
-        else:
-            payload[key] = value
-    return payload
 
 
 def _check_nonnegative(**values):

@@ -166,6 +166,42 @@ def test_ghz_saturation_command(capsys):
     assert report["results"]["report"]["saturated"] is True
 
 
+def test_ghz_saturation_violation_exit_code(monkeypatch, capsys):
+    # The GHZ gap is about 0, so with the tolerance at -3 the bound reads violated.
+    import entsup.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.supbound, "VIOLATION_TOL", -3.0)
+    code, report = run_cli(capsys, "ghz-saturation", "--n", "3")
+    assert code == 5
+    assert report["config"] == {"n": 3, "phi": 0.0}
+    assert set(report["results"]) == {"error", "instance"}
+    instance = report["results"]["instance"]
+    assert list(instance) == ["dims", "psi", "phi", "a", "b", "k", "lhs", "rhs", "gap"]
+    assert instance["dims"] == [2, 2, 2]
+    assert instance["psi"] == [[1.0, 0.0]] + [[0.0, 0.0]] * 7
+    assert instance["phi"] == [[0.0, 0.0]] * 7 + [[1.0, 0.0]]
+    assert instance["k"] == 1.0 and instance["gap"] == instance["rhs"] - instance["lhs"]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("rg_upper_pure", lambda ket: (2.0, "l1-local")),  # the bounds do not meet
+        ("REFLECTION_CLASS", (2.0, 2.0)),  # the cross term doubles: not saturated
+    ],
+)
+def test_ghz_saturation_failure_exit_code(monkeypatch, capsys, name, value):
+    import entsup.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.supbound, name, value)
+    code, report = run_cli(capsys, "ghz-saturation", "--n", "3")
+    assert code == 4
+    results = report["results"]
+    assert set(results) == {"error", "lower", "upper"}
+    assert results["lower"] == pytest.approx(1.0, abs=1e-12)
+    assert results["upper"] == (2.0 if name == "rg_upper_pure" else pytest.approx(1.0, abs=1e-12))
+
+
 def test_ghz_saturation_usage_error(capsys):
     assert main(["ghz-saturation", "--n", "1"]) == EXIT_INPUT
     assert main(["ghz-saturation", "--n", "3", "--seed", "1"]) == EXIT_INPUT  # flag removed
@@ -269,6 +305,21 @@ def test_sweep_violation_exit_code(tmp_path, monkeypatch, capsys):
         assert instance["sample_index"] == 0 and instance["seed"] == DEFAULT_SEED
         assert instance["gap"] == instance["rhs"] - instance["lhs"] < 3.0
         assert not target.exists() and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("quantifier", ["negativity", "robustness"])
+def test_failed_sweep_reports_the_passed_config(monkeypatch, capsys, quantifier):
+    import entsup.cli as cli_mod
+
+    argv = ("sweep", "--quantifier", quantifier, "--qubits", "3", "--samples", "4", "--seed", "2")
+    code, passed = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    monkeypatch.setattr(cli_mod.supbound, "VIOLATION_TOL", -3.0)
+    code, failed = run_cli(capsys, *argv)
+    assert code == 5
+    assert failed["config"] == passed["config"] == passed["results"]["config"]
+    assert list(failed["config"]) == ["kind", "qubits", "partitions"]
+    assert failed["seed"] == passed["seed"] == 2
 
 
 @pytest.mark.parametrize("quantifier", ["negativity", "robustness"])

@@ -308,6 +308,31 @@ def test_ghz_saturation_experiment_builds_no_dense_operator():
     assert report.saturated and report.lhs == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ghz_saturation_experiment_peaks_at_six_kets():
+    # At n = 18 a ket takes 4 MiB. Building the two branch kets as well as GHZ
+    # and its working copies peaked at 28 MiB; the run needs no more than 24.
+    ghz_saturation_experiment(3)  # warm-up: one-time allocations stay out
+    tracemalloc.start()
+    try:
+        report = ghz_saturation_experiment(18, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**22, peak / 2**20
+    assert report.saturated
+
+
+def test_passing_ghz_run_builds_no_branch_kets(monkeypatch):
+    # The branches are basis kets, so only a violation's payload needs them.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a passing GHZ run built a branch ket or certificate")
+
+    monkeypatch.setattr(supbound, "basis_ket", unreachable)
+    monkeypatch.setattr(supbound.quantifiers, "separability_certificate_diagonal", unreachable)
+    for n in (2, 5):
+        assert ghz_saturation_experiment(n, 1.0).saturated
+
+
 def test_phase_invariance_of_reports():
     reg = qubit_register(2)
     gen = np.random.default_rng(11)
