@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -326,10 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The process's one parser, built on the first main() call rather than at import.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return EXIT_INPUT if err.code not in (0, None) else 0
 

@@ -36,12 +36,16 @@ SATURATION_TOL = 1e-6
 VIOLATION_TOL = 1e-8
 # Largest sweep in rows (samples x cuts for negativity). The CLI holds one block of
 # rows and the gap column, so this bounds the run time: at the limit a 2-qubit sweep
-# with a CSV took 32 s at 67 MiB peak RSS on a 2-vCPU machine.
+# with a CSV took 19 s at 66 MiB peak RSS on a 2-vCPU machine.
 MAX_SWEEP_ROWS = 10**6
 # A sweep block stacks at most this many amplitudes per branch, and one sample at least.
 SWEEP_BLOCK_AMPLITUDES = 2**16
 # A superposition gamma whose squared norm falls below this counts as vanishing.
 VANISHING_NORM_SQ = 1e-12
+# PCG64's multiplier; numpy's SeedSequence hash constants for 16 pool and 8 seed words.
+_PCG64_MULT, _MASK32, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**32 - 1, 2**128 - 1
+_MIX_CONSTANTS, _STATE_CONSTANTS = (np.array([c * m**k % 2**32 for k in range(n)], np.uint64)
+    for c, m, n in ((0x43B0D7E5, 0x931E8875, 17), (0x8B51F9DD, 0x58F38DED, 9)))
 
 
 class BoundViolationError(RuntimeError):
@@ -369,23 +373,55 @@ def _row_payload(kind, register, partitions, kets, a, b, c, row, col):
 def _draw_block(size, indices, seed):
     """Stacked unit psi and phi, room for gamma, and the coefficient pairs of ``indices``.
 
-    Each sample draws from its own ``[seed, index]`` substream in a fixed order:
-    psi (re, im), phi (re, im), t, x. The pair (cos t, e^{i x} sin t) is formed
-    with scalar math, so it does not depend on the block a sample falls in.
+    Each sample draws on its ``default_rng([seed, index])`` substream, set from
+    :func:`_pcg64_states` (the first checked against ``default_rng``): psi (re, im),
+    phi (re, im), then t and x by ``random(2)``, the bits of two ``uniform`` calls.
+    (cos t, e^{i x} sin t) is formed with scalar math, the same in any block.
     """
-    normals = np.empty((len(indices), 4, size))
-    a, b = [], []
-    for row, index in enumerate(indices):
-        rng = np.random.default_rng([seed, index])
+    normals, draws = np.empty((len(indices), 4, size)), np.empty((len(indices), 2))
+    rng = np.random.default_rng([seed, indices[0]])
+    for row, state in enumerate(_pcg64_states(seed, indices)):
+        if row == 0 and rng.bit_generator.state != state:
+            raise RuntimeError(f"bulk seeding of [{seed}, {indices[0]}] differs from default_rng")
+        rng.bit_generator.state = state
         rng.standard_normal(out=normals[row])
-        theta = rng.uniform(0.0, math.pi / 2)
-        chi = rng.uniform(0.0, 2 * math.pi)
-        a.append(math.cos(theta))
-        b.append(cmath.exp(1j * chi) * math.sin(theta))
+        rng.random(out=draws[row])
+    angles = (draws * (math.pi / 2, 2 * math.pi)).tolist()
+    a = np.array([math.cos(t) for t, _ in angles], dtype=np.complex128)
+    b = np.array([cmath.exp(1j * x) * math.sin(t) for t, x in angles])
     kets = np.empty((3, len(indices), size), dtype=np.complex128)
     kets[0].real, kets[0].imag, kets[1].real, kets[1].imag = normals.transpose(1, 0, 2)
     kets[:2] /= _norms(kets[:2])[..., None]
-    return kets, np.array(a, dtype=np.complex128), np.array(b)
+    return kets, a, b
+
+
+def _pcg64_states(seed, indices):
+    """``default_rng([seed, i]).bit_generator.state`` for each i in turn, in bulk below 2**32.
+
+    ``SeedSequence``'s hash constants depend only on a word's position, so the block
+    hashes at once, as uint32 values in uint64 arrays; PCG64 then seeds in closed form.
+    """
+
+    def hashmix(words, constants):  # the hash of row k of words, by constants[k : k + 2]
+        words = (words ^ constants[:-1, None]) * constants[1:, None] & _MASK32
+        return words ^ words >> 16
+
+    if max(seed, indices[-1]) >= 2**32:  # the entropy takes more words
+        yield from (np.random.default_rng([seed, i]).bit_generator.state for i in indices)
+        return
+    pool = np.zeros((4, len(indices)), dtype=np.uint64)
+    pool[0], pool[1] = seed, indices
+    pool = hashmix(pool, _MIX_CONSTANTS[:5])
+    for src, dst in enumerate(([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2])):
+        hashed = hashmix(pool[src], _MIX_CONSTANTS[4 + 3 * src : 8 + 3 * src])
+        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashed) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
+    words = hashmix(np.vstack([pool, pool]), _STATE_CONSTANTS)
+    for hi, lo, seq_hi, seq_lo in zip(*(words[0::2] | words[1::2] << 32).tolist()):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128  # 2 initseq + 1
+        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
 
 
 def _norms(kets: np.ndarray) -> np.ndarray:

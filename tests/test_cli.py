@@ -1,9 +1,13 @@
 """Command-line contract: parsing, outputs, exit codes, determinism."""
 
+import hashlib
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import entsup
 from entsup.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -25,7 +30,7 @@ from entsup.linops import single_cut_partitions
 from entsup.qstate import Ket, Register, density, ghz, qubit_register
 from entsup.quantifiers import pt_profile, rg_lower_pure, rg_lower_via_witness
 from entsup.sdpcore import MAX_DIMENSION
-from entsup.supbound import SweepColumns
+from entsup.supbound import BoundViolationError, SweepColumns
 from entsup.witnesses import DEFAULT_SEED
 
 from conftest import random_pure_amplitudes, unit_kets
@@ -228,6 +233,100 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     header = first.read_text().splitlines()[0]
     assert header == "index,abs_a,abs_b,lhs,rhs,gap"
+
+
+# sha256 of the seed-1 sweep CSVs of 300 samples, as written when every sample
+# seeded its own default_rng([seed, index]).
+SEED_1_CSV_SHA256 = {
+    ("negativity", 2): "74fd35f92650436f9361f3be5b829b7d460d697220f29583bdf330b2389d2a1e",
+    ("negativity", 3): "cfb8271268b33c4873f9639eed81644209d6b7fdb3c4eab28627c1390269559a",
+    ("negativity", 5): "e44f238b87ca56b644633cbf5e53a68f2f0dfadd17ca64af3162b4bc810e9dce",
+    ("robustness", 2): "637af726b784c5121b39a8a5651b3f54518a5ac1fcd449ac9985a8075af53cbb",
+    ("robustness", 3): "d7e5da97d9f5c8dd6268a1a4af09ddbb1c75391e9cdfded1fc3007f02eaa7112",
+    ("robustness", 5): "9bea7e350a9db4149d07528288552a96303f34a1f0fb54010c2d1421da69e4d3",
+}
+
+
+@pytest.mark.parametrize(("quantifier", "qubits"), sorted(SEED_1_CSV_SHA256))
+def test_seed_1_sweep_csvs_are_pinned(tmp_path, capsys, quantifier, qubits):
+    target = tmp_path / "rows.csv"
+    code, _ = run_cli(
+        capsys, "sweep", "--quantifier", quantifier, "--qubits", str(qubits),
+        "--samples", "300", "--seed", "1", "--csv", str(target),
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == SEED_1_CSV_SHA256[quantifier, qubits]
+
+
+def test_a_wrong_bulk_seeding_is_not_an_input_error(tmp_path, monkeypatch):
+    import entsup.cli as cli_mod
+
+    bulk = cli_mod.supbound._pcg64_states
+
+    def shifted(seed, indices):
+        return [{**s, "state": {**s["state"], "state": s["state"]["state"] ^ 1}}
+                for s in bulk(seed, indices)]
+
+    monkeypatch.setattr(cli_mod.supbound, "_pcg64_states", shifted)
+    target = tmp_path / "rows.csv"
+    with pytest.raises(RuntimeError, match="differs from default_rng") as caught:
+        main(["sweep", "--samples", "5", "--csv", str(target)])  # raised, not exit 2
+    assert not isinstance(caught.value, (ValueError, BoundViolationError))
+    assert list(tmp_path.iterdir()) == []  # neither the CSV nor its .part file
+
+
+def in_new_interpreter(*args):
+    """Run ``python *args`` in a new interpreter that imports entsup from this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(entsup.__file__))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def fresh_process(*argv):
+    """Exit code, report without ``duration_s``, and stderr of ``entsup`` in a new interpreter."""
+    done = in_new_interpreter("-m", "entsup.cli", *argv)
+    return done.returncode, _without_duration(done.stdout), done.stderr
+
+
+def _without_duration(out):
+    report = json.loads(out) if out.strip() else None
+    if report:
+        del report["duration_s"]
+    return report
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    import entsup.cli as cli_mod
+
+    path = write_state(tmp_path, "ghz3.json", ghz(3, 0.0))
+    calls = [
+        ("quantify", path, "--quantifier", "negativity", "--partition", "0"),
+        ("quantify", path, "--quantifier", "negativity"),  # every single cut again
+        ("sweep", "--samples", "many"),  # an argparse usage error
+        ("sweep", "--samples", "5", "--qubits", "3", "--seed", "4"),
+    ]
+    main(["ghz-saturation", "--n", "2"])  # the parser exists before the calls
+    capsys.readouterr()
+    builds = cli_mod._parser.cache_info().misses
+    seen = []
+    for argv in calls:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        seen.append((code, _without_duration(captured.out), captured.err))
+    assert cli_mod._parser.cache_info().misses == builds
+    assert [code for code, _, _ in seen] == [EXIT_OK, EXIT_OK, EXIT_INPUT, EXIT_OK]
+    assert [seen[i][1]["config"]["partitions"] for i in (0, 1)] == [[[0]], [[0], [1], [2]]]
+    assert "invalid int value: 'many'" in seen[2][2]
+    assert seen == [fresh_process(*argv) for argv in calls]
+
+
+def test_importing_the_cli_builds_no_parser_and_loads_no_numpy_random():
+    # The CLI's import time is a benchmark metric; numpy.random loads on the first draw.
+    probe = "import sys, entsup.cli as c; print('numpy.random' in sys.modules, c._parser.cache_info())"
+    done = in_new_interpreter("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split(" ", 1) == [
+        "False", "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n"
+    ]
 
 
 def test_sweep_csv_is_streamed(tmp_path):

@@ -444,6 +444,60 @@ def test_sweep_blocks_do_not_change_rows(monkeypatch, kind, qubits):
     assert random_sweep(config, qubits, 7, 11) == summary
 
 
+def _assert_draws_match_default_rng(kets, a, b, seed, indices):
+    """Each drawn sample, bit for bit, against a redraw on its ``default_rng([seed, index])``."""
+    size = kets.shape[-1]
+    for row, index in enumerate(indices):
+        rng = np.random.default_rng([seed, index])
+        normals = rng.standard_normal((4, size))
+        theta = rng.uniform(0.0, math.pi / 2)
+        chi = rng.uniform(0.0, 2 * math.pi)
+        for branch, (re, im) in enumerate((normals[:2], normals[2:])):
+            ket = re + 1j * im
+            np.testing.assert_array_equal(kets[branch, row], ket / supbound._norms(ket))
+        assert a[row] == math.cos(theta)
+        assert b[row] == cmath.exp(1j * chi) * math.sin(theta)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63])
+@pytest.mark.parametrize(
+    "indices", [range(0, 3), range(999_997, 1_000_000), range(2**32 - 2, 2**32 + 1)]
+)
+def test_draws_keep_every_default_rng_substream(monkeypatch, seed, indices):
+    # Below 2**32 the states are seeded in bulk and only the check seeds through
+    # numpy; the seed 2**32 and up, and an index there, take numpy's own seeding.
+    seeded = []
+
+    def counted(entropy, _default_rng=np.random.default_rng):
+        seeded.append(entropy)
+        return _default_rng(entropy)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    kets, a, b = supbound._draw_block(4, indices, seed)
+    monkeypatch.undo()
+    bulk = max(seed, indices[-1]) < 2**32
+    assert len(seeded) == (1 if bulk else 1 + len(indices))
+    _assert_draws_match_default_rng(kets, a, b, seed, indices)
+
+
+def test_draws_keep_every_substream_across_block_edges(monkeypatch):
+    # 8 amplitudes a block hold 2 samples on two qubits: 7 samples make 4 blocks.
+    draws = []
+
+    def recorded(size, indices, seed):
+        drawn = draw(size, indices, seed)
+        draws.append((indices, tuple(x.copy() for x in drawn)))
+        return drawn
+
+    draw = supbound._draw_block
+    monkeypatch.setattr(supbound, "_draw_block", recorded)
+    monkeypatch.setattr(supbound, "SWEEP_BLOCK_AMPLITUDES", 8)
+    random_sweep(QuantifierConfig(), 2, 7, 1)
+    assert [list(indices) for indices, _ in draws] == [[0, 1], [2, 3], [4, 5], [6]]
+    for indices, drawn in draws:
+        _assert_draws_match_default_rng(*drawn, 1, indices)
+
+
 def test_sweep_row_limit_counts_rows_per_sample(monkeypatch):
     monkeypatch.setattr(supbound, "MAX_SWEEP_ROWS", 6)
     assert len(_sweep_rows(QuantifierConfig(), 3, 2, 0).gap) == 6
