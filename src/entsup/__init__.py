@@ -20,7 +20,6 @@ from .qstate import (
     basis_ket,
     density,
     ghz,
-    overlap,
     qubit_register,
     superpose,
 )
@@ -55,7 +54,6 @@ from .witnesses import (
     WitnessClassError,
     eval_witness,
     ghz_witness,
-    interference_term,
     max_product_overlap,
     negativity_optimal_witness,
     witness_k,

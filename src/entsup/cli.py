@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, linops, quantifiers, sdpcore, supbound
 from .linops import Partition
-from .qstate import Ket, Register, basis_index, complex_pairs
+from .qstate import Ket, Register, basis_index
 from .quantifiers import QuantifierConfig
 from .supbound import BoundViolationError, SaturationFailureError
 from .witnesses import DEFAULT_SEED
@@ -117,13 +117,6 @@ def _amplitude(pair, where: str, pos: int) -> complex:
     return value
 
 
-def ket_to_state_document(ket: Ket) -> dict:
-    return {
-        "dims": list(ket.register.dims),
-        "amplitudes": complex_pairs(ket.amplitudes),
-    }
-
-
 def parse_partitions(specs: list[str] | None, register: Register) -> list[Partition]:
     """Explicit cuts, or every single cut; each must be a proper nonempty subset."""
     parts = []
@@ -169,11 +162,9 @@ def cmd_quantify(args) -> tuple[dict, int]:
     if args.quantifier in ("robustness", "all"):
         robustness: dict = {}
         robustness["lower"], robustness["lower_witness_cut"] = quantifiers.rg_lower_pure(ket)
-        upper, basis = quantifiers.rg_upper_pure(ket)
-        robustness["upper"] = upper
+        robustness["upper"], basis = quantifiers.rg_upper_pure(ket)
         robustness["upper_certified"] = True
         robustness["upper_candidate"] = basis
-        robustness["s_star"] = upper
         try:
             robustness["ppt_sdp"] = quantifiers.rg_ppt_sdp(ket, parts, tol=tol)
         except sdpcore.SolverFailureError as err:
@@ -348,12 +339,6 @@ def main(argv: list[str] | None = None) -> int:
     except (StateFileError, ValueError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return EXIT_INPUT
-    except sdpcore.SolverFailureError as err:
-        print(
-            json.dumps({"error": str(err), "best_value": err.best_value}),
-            file=sys.stderr,
-        )
-        return EXIT_SOLVER
 
     report["duration_s"] = time.perf_counter() - started
     print(json.dumps(report))

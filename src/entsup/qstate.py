@@ -111,10 +111,6 @@ class SuperposCoeffs:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def abs_product(self) -> float:
-        return abs(self.a) * abs(self.b)
-
 
 def basis_ket(register: Register, indices: Sequence[int]) -> Ket:
     """Computational basis ket |i0 i1 ... i_{N-1}> with one label per subsystem."""
@@ -167,13 +163,6 @@ def ghz(n: int, phi: float = 0.0, orthogonal: bool = False) -> Ket:
     sign = -1.0 if orthogonal else 1.0
     amp[0], amp[-1] = 1 / math.sqrt(2), sign * cmath.exp(1j * phi) / math.sqrt(2)
     return Ket(reg, amp)
-
-
-def overlap(psi: Ket, phi: Ket) -> complex:
-    """Inner product <psi|phi>, conjugating the first argument."""
-    if psi.register != phi.register:
-        raise RegisterMismatchError("overlap of kets on different registers")
-    return complex(np.vdot(psi.amplitudes, phi.amplitudes))
 
 
 def density(psi: Ket):

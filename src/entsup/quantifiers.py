@@ -102,17 +102,12 @@ def mix(rho: HermOp, pi: HermOp, s: float) -> HermOp:
     return HermOp(rho.register, (rho.matrix + s * pi.matrix) / (1.0 + s))
 
 
-def separability_certificate_diagonal(state: HermOp | Ket) -> bool:
+def separability_certificate_diagonal(state: HermOp) -> bool:
     """True when no off-diagonal entry of the state exceeds ``DIAGONAL_TOL`` in modulus.
 
     Diagonal states are separable by an explicit convex combination of product
-    projectors, so this certificate is sound (but far from complete). The
-    largest off-diagonal modulus of |psi><psi| is the product of the two
-    largest |psi_i|, so a ket needs no matrix.
+    projectors, so this certificate is sound (but far from complete).
     """
-    if isinstance(state, Ket):
-        top = np.partition(np.abs(state.amplitudes), -2)[-2:]
-        return float(top[0] * top[1]) <= DIAGONAL_TOL
     off = state.matrix - np.diag(np.diag(state.matrix))
     return float(np.max(np.abs(off))) <= DIAGONAL_TOL if off.size else True
 
@@ -227,6 +222,5 @@ def rg_ppt_sdp(
         raise sdpcore.SolverFailureError(
             f"robustness SDP stopped with status {solution.status!r}",
             best_value=solution.primal_value,
-            solution=solution,
         )
     return solution.primal_value

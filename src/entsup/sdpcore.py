@@ -40,6 +40,8 @@ FEASIBILITY_TOL = 1e-7
 # 3-15 s at d = 32, 14-25 s at d = 64 and 109-133 s at d = 128 on a 2-vCPU machine.
 MAX_DIMENSION = 64
 CHECK_EVERY = 25
+# Iteration budget of one solve; a solve that spends it stops with status "max_iter".
+MAX_ITERATIONS = 200_000
 
 
 def default_tolerance(dim: int) -> float:
@@ -50,29 +52,25 @@ def default_tolerance(dim: int) -> float:
 class SolverFailureError(RuntimeError):
     """The solver stopped without a certified optimum."""
 
-    def __init__(self, message, best_value=None, solution=None):
+    def __init__(self, message, best_value=None):
         super().__init__(message)
         self.best_value = best_value
-        self.solution = solution
 
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
     """Minimize Tr(X) subject to (offsets[i] + X)^{T_i} >= 0 for every cone i.
 
-    ``transposed[i]`` names the subsystems of T_i, and ``gather`` holds, for
-    every entry of the stacked (k, d, d) array, the flat index of the entry
-    that T_i moves there.
+    ``offsets`` is the stacked (k, d, d) array, and ``gather`` holds, for each
+    of its entries, the flat index of the entry that T_i moves there.
     """
 
-    dims: tuple[int, ...]
-    transposed: tuple[tuple[int, ...], ...]
     offsets: np.ndarray
     gather: np.ndarray
 
     @property
     def variable_dim(self) -> int:
-        return math.prod(self.dims)
+        return self.offsets.shape[-1]
 
     def transpose(self, stack: np.ndarray) -> np.ndarray:
         """Apply T_i to slice i of a stacked (k, d, d) array; its own inverse."""
@@ -118,21 +116,19 @@ def build_robustness_sdp(state: HermOp | Ket, partitions: Sequence[Partition]) -
     gather = np.stack(
         [_transpose_subsystems(entries, dims, t) + i * d * d for i, t in enumerate(transposed)]
     )
-    return SdpProblem(dims, transposed, offsets, gather)
+    return SdpProblem(offsets, gather)
 
 
-def solve(problem: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = 200_000) -> SdpSolution:
+def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Run the ADMM until the primal-dual certificate gap drops below tol.
 
-    Deterministic for fixed inputs. Hitting ``max_iter`` returns the best
-    certified iterate with status ``max_iter``.
+    Deterministic for fixed inputs. Spending ``MAX_ITERATIONS`` returns the
+    best certified iterate with status ``max_iter``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"need at least one iteration, got max_iter={max_iter}")
-    d = problem.variable_dim
-    k = len(problem.transposed)
+    max_iter = MAX_ITERATIONS
+    k, d = problem.offsets.shape[:2]
     negativities = np.clip(-np.linalg.eigvalsh(problem.cones(0.0)), 0.0, None).sum(axis=1)
     step = min(1.0, max(tol, 2.0 * float(negativities.max())))
     pull = step * np.eye(d, dtype=np.complex128) / k  # objective pull: Tr(X) = Tr(I X)

@@ -8,12 +8,7 @@ import numpy as np
 
 from . import linops
 from .linops import HermOp, Partition
-from .qstate import (
-    Ket,
-    RegisterMismatchError,
-    SuperposCoeffs,
-    ghz,
-)
+from .qstate import Ket, RegisterMismatchError, ghz
 
 SPECTRUM_TOL = 1e-9
 DEFAULT_SEED = 42
@@ -34,14 +29,12 @@ class WitnessClassError(ValueError):
 class Witness:
     """Hermitian witness operator with an optional spectral class descriptor.
 
-    ``class_bounds = (m, n)`` asserts the spectrum lies in [-n, m];
-    ``cap_identity`` asserts membership in the W <= I class. Both claims are
-    verified at construction.
+    ``class_bounds = (m, n)`` asserts the spectrum lies in [-n, m], verified at
+    construction; m <= 1 puts the witness in the W <= I class.
     """
 
     op: HermOp
     class_bounds: tuple[float, float] | None = None
-    cap_identity: bool = False
 
     def __post_init__(self):
         if self.class_bounds is not None:
@@ -49,19 +42,15 @@ class Witness:
             if m < 0 or n < 0:
                 raise WitnessClassError("class bounds (m, n) must be nonnegative")
             object.__setattr__(self, "class_bounds", (m, n))
-        if self.class_bounds is not None or self.cap_identity:
             w = self.op.eigenvalues()
             lo, hi = float(w[0]), float(w[-1])
-            if self.class_bounds is not None:
-                m, n = self.class_bounds
-                if hi > m + SPECTRUM_TOL or lo < -n - SPECTRUM_TOL:
-                    raise WitnessClassError(
-                        f"spectrum [{lo:.3e}, {hi:.3e}] escapes [-{n}, {m}]"
-                    )
-            if self.cap_identity and hi > 1.0 + SPECTRUM_TOL:
-                raise WitnessClassError(
-                    f"max eigenvalue {hi:.12f} violates the W <= I class"
-                )
+            if hi > m + SPECTRUM_TOL or lo < -n - SPECTRUM_TOL:
+                raise WitnessClassError(f"spectrum [{lo:.3e}, {hi:.3e}] escapes [-{n}, {m}]")
+
+    @property
+    def cap_identity(self) -> bool:
+        """Membership in the W <= I class, which the verified bound m <= 1 implies."""
+        return self.class_bounds is not None and self.class_bounds[0] <= 1
 
 
 @dataclass(frozen=True)
@@ -69,7 +58,6 @@ class ProductSearchConfig:
     """Settings for the see-saw search over fully product states."""
 
     restarts: int = 32
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -79,14 +67,14 @@ class ProductSearchConfig:
 def zero_witness(register) -> Witness:
     """The trivial witness; useful as the optimal witness of a PPT state."""
     d = register.size
-    return Witness(HermOp(register, np.zeros((d, d))), class_bounds=(0.0, 0.0), cap_identity=True)
+    return Witness(HermOp(register, np.zeros((d, d))), class_bounds=(0.0, 0.0))
 
 
 def _reflection_witness(register, chi: np.ndarray) -> Witness:
     """Witness I - 2|chi><chi| of a unit vector chi, in class ``REFLECTION_CLASS``."""
     _check_unit(chi)
     op = HermOp(register, np.eye(register.size) - 2.0 * np.outer(chi, chi.conj()))
-    return Witness(op, class_bounds=REFLECTION_CLASS, cap_identity=True)
+    return Witness(op, class_bounds=REFLECTION_CLASS)
 
 
 def reflection_expectation(chi: np.ndarray, psi: Ket) -> float:
@@ -197,14 +185,6 @@ def witness_k(w: Witness) -> float:
     return max(0.0, float(spec[-1]), float(-spec[0]))
 
 
-def interference_term(
-    w: Witness, psi: Ket, phi: Ket, coeffs: SuperposCoeffs
-) -> float:
-    """Cross term 2 Re(a* b <psi|W|phi>) of a superposition expectation."""
-    val = linops.matrix_element(w.op, psi, phi)
-    return 2.0 * (coeffs.a.conjugate() * coeffs.b * val).real
-
-
 def max_product_overlap(
     projector: HermOp, config: ProductSearchConfig | None = None
 ) -> float:
@@ -213,9 +193,10 @@ def max_product_overlap(
     Alternating single-site optimization: with all sites but one frozen the
     objective reduces to a Rayleigh quotient of a small Hermitian matrix, so
     each sweep sets one site to a principal eigenvector and never decreases
-    the objective. Runs ``config.restarts`` independent seeded starts (seed +
-    restart index) and returns the best value found. Ties in the principal
-    eigenvector keep the previous site vector, so fixed seeds reproduce.
+    the objective. Runs ``config.restarts`` independent seeded starts
+    (``DEFAULT_SEED`` + restart index) and returns the best value found. Ties
+    in the principal eigenvector keep the previous site vector, so the search
+    reproduces.
     """
     if config is None:
         config = ProductSearchConfig()
@@ -227,7 +208,7 @@ def max_product_overlap(
 
     best = 0.0
     for restart in range(config.restarts):
-        rng = np.random.default_rng(config.seed + restart)
+        rng = np.random.default_rng(DEFAULT_SEED + restart)
         sites = [_random_unit(rng, d) for d in dims]
         value = -np.inf
         for _ in range(SEESAW_MAX_ITERATIONS):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from entsup.qstate import Ket, Register
+from entsup.qstate import Ket, Register, complex_pairs
 
 # Fixed draws and no example database, so a run's result depends on the code alone.
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -40,6 +40,11 @@ def loop_partial_transpose(matrix: np.ndarray, dims, axes) -> np.ndarray:
             cj = [di[k] if k in axes else dj[k] for k in range(n)]
             out[flat(ri), flat(cj)] = matrix[i, j]
     return out
+
+
+def ket_to_state_document(ket: Ket) -> dict:
+    """The dense state-file document of a ket, as the CLI reads it."""
+    return {"dims": list(ket.register.dims), "amplitudes": complex_pairs(ket.amplitudes)}
 
 
 def random_hermitian(rng, d, scale=1.0):

@@ -16,24 +16,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entsup
+from entsup import sdpcore
 from entsup.cli import (
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_SOLVER,
     StateFileError,
     _consume_sweep,
-    ket_to_state_document,
     load_state_file,
     main,
     parse_state_document,
 )
 from entsup.linops import single_cut_partitions
 from entsup.qstate import Ket, Register, density, ghz, qubit_register
-from entsup.quantifiers import pt_profile, rg_lower_pure, rg_lower_via_witness
-from entsup.sdpcore import MAX_DIMENSION
+from entsup.quantifiers import pt_profile, rg_lower_pure, rg_lower_via_witness, rg_ppt_sdp
+from entsup.sdpcore import MAX_DIMENSION, SolverFailureError
 from entsup.supbound import BoundViolationError, SweepColumns
 from entsup.witnesses import DEFAULT_SEED
 
-from conftest import random_pure_amplitudes, unit_kets
+from conftest import ket_to_state_document, random_pure_amplitudes, unit_kets
 from oracles import maxent_cut_witness
 
 
@@ -470,7 +471,6 @@ def test_sweep_unwritable_csv_fails_before_sampling(tmp_path, monkeypatch, capsy
 
 def test_quantify_solver_failure_partial_results(tmp_path, monkeypatch, capsys):
     import entsup.cli as cli_mod
-    from entsup.sdpcore import SolverFailureError
 
     def stall(*args, **kwargs):
         raise SolverFailureError("stopped at max_iter", best_value=0.97)
@@ -483,6 +483,74 @@ def test_quantify_solver_failure_partial_results(tmp_path, monkeypatch, capsys):
     assert rob["ppt_sdp"] is None
     assert rob["ppt_sdp_best"] == 0.97
     assert rob["lower"] == pytest.approx(1.0, abs=1e-9)  # partial results intact
+
+
+def test_rg_ppt_sdp_failure_carries_the_best_primal(tmp_path, monkeypatch, capsys):
+    # 25 iterations cannot certify a gap of 1e-12, so rg_ppt_sdp itself raises.
+    monkeypatch.setattr(sdpcore, "MAX_ITERATIONS", 25)
+    ket = ghz(2, 0.0)
+    parts = single_cut_partitions(ket.register)
+    stopped = sdpcore.solve(sdpcore.build_robustness_sdp(ket, parts), tol=1e-12)
+    assert stopped.status == "max_iter"
+    with pytest.raises(SolverFailureError) as failure:
+        rg_ppt_sdp(ket, parts, tol=1e-12)
+    assert failure.value.best_value == stopped.primal_value
+    path = write_state(tmp_path, "bell.json", ket)
+    code, report = run_cli(
+        capsys, "quantify", path, "--quantifier", "robustness", "--tolerance", "1e-12"
+    )
+    assert code == EXIT_SOLVER
+    rob = report["results"]["robustness"]
+    assert rob["ppt_sdp"] is None and rob["ppt_sdp_best"] == stopped.primal_value
+
+
+def test_quantify_renormalizes_a_scaled_state(tmp_path, capsys):
+    # Dyadic amplitudes with squared norm exactly 1, so halving the doubled
+    # file's amplitudes gives back the unit file's amplitudes bit for bit.
+    unit = Ket(qubit_register(3), [0.5, 0.5j, -0.25, 0.25, 0.25j, 0.25, 0.0, -0.5])
+    doubled_ket = Ket(unit.register, 2 * unit.amplitudes)
+    reports = []
+    for name, ket in (("unit.json", unit), ("doubled.json", doubled_ket)):
+        code, report = run_cli(capsys, "quantify", write_state(tmp_path, name, ket))
+        assert code == EXIT_OK
+        reports.append(report)
+    unit_report, doubled = reports
+    assert unit_report["config"]["renormalized_input"] is False
+    assert doubled["config"]["renormalized_input"] is True
+    for old, new in zip(unit_report["results"]["negativity"], doubled["results"]["negativity"]):
+        assert new["partition"] == old["partition"]
+        assert new["value"] == pytest.approx(old["value"], abs=1e-12)
+    rob, old_rob = doubled["results"]["robustness"], unit_report["results"]["robustness"]
+    assert list(rob) == list(old_rob)
+    for key in ("lower", "upper", "ppt_sdp"):
+        assert rob[key] == pytest.approx(old_rob[key], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("document", "argv", "message"),
+    [
+        ([[1.0, 0.0]] * 4, [], "expected an object with dims and amplitudes"),
+        ({"dims": [2, 2], "amplitudes": []}, [], "amplitudes must be a nonempty list"),
+        (
+            {"dims": [2, 2], "amplitudes": [{"basis": "00", "amp": [1, 0]}, {"basis": "11"}]},
+            [],
+            "amplitudes[1]: need basis and amp",
+        ),
+        (None, ["--partition", "a"], "bad partition 'a'"),
+    ],
+)
+def test_quantify_parse_errors_name_their_source(tmp_path, capsys, document, argv, message):
+    path = tmp_path / "state.json"
+    if document is None:
+        document = ket_to_state_document(ghz(2, 0.0))
+    path.write_text(json.dumps(document))
+    code = main(["quantify", str(path), *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert message in error
+    if not argv:
+        assert error.startswith(f"{path}: ")
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -679,7 +747,10 @@ def test_upper_path_solves_only_site_sized_matrices(tmp_path, capsys, monkeypatc
         assert code == EXIT_OK
         assert solves == [("svd", (2, 4))] * 3 + [("eigh", (2, 2))] * 3
         rob = report["results"]["robustness"]
-        assert rob["upper_certified"] is True and rob["s_star"] == rob["upper"]
+        assert list(rob) == [
+            "lower", "lower_witness_cut", "upper", "upper_certified", "upper_candidate", "ppt_sdp"
+        ]
+        assert rob["upper_certified"] is True
 
 
 def test_quantify_random_state_has_certified_upper(tmp_path, capsys, rng):
@@ -690,7 +761,6 @@ def test_quantify_random_state_has_certified_upper(tmp_path, capsys, rng):
     rob = report["results"]["robustness"]
     assert math.isfinite(rob["upper"]) and rob["upper_certified"] is True
     assert rob["upper_candidate"] in ("l1-computational", "l1-local")
-    assert rob["s_star"] == rob["upper"]
     assert rob["lower"] <= rob["ppt_sdp"] + 1e-6 <= rob["upper"] + 2e-6
 
 

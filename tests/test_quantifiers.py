@@ -16,7 +16,7 @@ from entsup.linops import (
     schmidt_coefficients,
     single_cut_partitions,
 )
-from entsup.qstate import Ket, Register, basis_ket, density, ghz, qubit_register
+from entsup.qstate import Ket, basis_ket, density, ghz, qubit_register
 from entsup.quantifiers import (
     DIAGONAL_TOL,
     RobustnessBounds,
@@ -471,20 +471,3 @@ def test_ket_profile_accepts_the_density_band():
     for state in (outside, density(outside)):
         with pytest.raises(ValueError, match="trace"):
             pt_profile(state, [part(0)])
-
-
-def test_ket_diagonal_certificate_matches_dense():
-    gen = np.random.default_rng(5)
-    for dims in ((2, 2, 2), (3, 2)):
-        reg = Register(dims)
-        kets = [basis_ket(reg, np.unravel_index(i, dims)) for i in range(reg.size)]
-        kets += [Ket(reg, random_pure_amplitudes(gen, reg.size)) for _ in range(20)]
-        # The two largest moduli multiply to just below and just above DIAGONAL_TOL.
-        for second in (0.9e-10, 1.1e-10):
-            amps = np.zeros(reg.size, dtype=complex)
-            amps[0], amps[-1] = 1.0, 1j * second
-            kets.append(Ket(reg, amps / np.linalg.norm(amps)))
-        verdicts = [separability_certificate_diagonal(ket) for ket in kets]
-        assert verdicts == [separability_certificate_diagonal(density(k)) for k in kets]
-        assert verdicts[: reg.size] == [True] * reg.size
-        assert verdicts[-2:] == [True, False]

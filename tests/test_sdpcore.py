@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from entsup import sdpcore
 from entsup.linops import HermOp, part, single_cut_partitions
 from entsup.qstate import Ket, Register, basis_ket, density, ghz, qubit_register
 from entsup.sdpcore import (
@@ -27,13 +28,12 @@ def bell_problem():
 def test_build_robustness_sdp_shapes():
     problem = bell_problem()
     assert problem.variable_dim == 4
-    assert problem.transposed == ((), (0,))
     assert problem.offsets.shape == (2, 4, 4)
 
     ghz3 = density(ghz(3, 0.0))
     problem = build_robustness_sdp(ghz3, single_cut_partitions(ghz3.register))
     assert problem.variable_dim == 8
-    assert problem.transposed == ((), (0,), (1,), (2,))
+    assert problem.offsets.shape == (4, 8, 8)
 
     with pytest.raises(ValueError):
         build_robustness_sdp(ghz3, [])
@@ -45,7 +45,7 @@ def test_gather_is_each_cones_partial_transpose(rng):
     problem = build_robustness_sdp(rho, [part(0), part(1), part(0, 2)])
     stack = rng.standard_normal((4, 12, 12)) + 1j * rng.standard_normal((4, 12, 12))
     moved = problem.transpose(stack)
-    for i, t in enumerate(problem.transposed):
+    for i, t in enumerate([(), (0,), (1,), (0, 2)]):
         assert np.array_equal(moved[i], loop_partial_transpose(stack[i], reg.dims, t))
     assert np.array_equal(problem.transpose(moved), stack)
     assert np.array_equal(problem.offsets[0], np.zeros((12, 12)))
@@ -113,7 +113,7 @@ def test_certificate_rejects_violated_constraint():
     assert not check_certificate(problem, spoiled, tol=1e-6)
 
 
-def test_certificate_rejects_large_gap():
+def test_certificate_rejects_large_gap(monkeypatch):
     problem = bell_problem()
     solution = solve(problem, tol=1e-6)
     wide = SdpSolution(
@@ -126,7 +126,8 @@ def test_certificate_rejects_large_gap():
         status="optimal",
     )
     assert not check_certificate(problem, wide, tol=1e-6)
-    stopped = solve(problem, tol=1e-12, max_iter=25)
+    monkeypatch.setattr(sdpcore, "MAX_ITERATIONS", 25)
+    stopped = solve(problem, tol=1e-12)
     assert stopped.gap > 1e-6
     assert not check_certificate(problem, replace(stopped, gap=0.0), tol=1e-6)
 
@@ -149,8 +150,9 @@ def test_certificate_rejects_a_tampered_dual():
         assert not check_certificate(problem, bad, tol=1e-6)
 
 
-def test_max_iter_status():
-    solution = solve(bell_problem(), tol=1e-12, max_iter=30)
+def test_max_iter_status(monkeypatch):
+    monkeypatch.setattr(sdpcore, "MAX_ITERATIONS", 30)
+    solution = solve(bell_problem(), tol=1e-12)
     assert solution.status == "max_iter"
     assert solution.dual_value <= solution.primal_value + 1e-8
 
@@ -257,11 +259,6 @@ def test_one_batched_eigensolve_per_iteration(monkeypatch):
     assert check_certificate(problem, solution, tol=1e-6)
     # The primal cones, the dual stack and its summed pull-back.
     assert calls["eigvalsh"] == [(4, 8, 8), (4, 8, 8), (8, 8)]
-
-
-def test_max_iter_must_be_positive():
-    with pytest.raises(ValueError):
-        solve(bell_problem(), max_iter=0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
