@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import Ket, Register, RegisterMismatchError
+from .qstate import Ket, Register
 
 HERMITICITY_TOL = 1e-10
 # Eigenvalues within +/- this of zero never enter the negative subspace,
@@ -109,22 +109,20 @@ def operator_norm(op: HermOp) -> float:
     return float(np.max(np.abs(op.eigenvalues())))
 
 
-def is_psd(op: HermOp, tol: float = PSD_TOL) -> bool:
-    """True when the smallest eigenvalue is >= -tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return bool(op.eigenvalues()[0] >= -tol)
+def is_psd(op: HermOp) -> bool:
+    """True when the smallest eigenvalue is >= -PSD_TOL."""
+    return bool(op.eigenvalues()[0] >= -PSD_TOL)
 
 
 def check_density(state: HermOp | Ket) -> None:
-    """Raise ValueError unless the state has unit trace and is PSD, both within DENSITY_TOL.
+    """Raise ValueError unless the state has unit trace within DENSITY_TOL and is PSD.
 
     A ket stands for |psi><psi|, which is PSD, so only <psi|psi> is checked.
     """
     trace = state.norm() ** 2 if isinstance(state, Ket) else state.trace()
     if abs(trace - 1.0) > DENSITY_TOL:
         raise ValueError(f"state trace {trace:.12f} is not 1")
-    if isinstance(state, HermOp) and not is_psd(state, DENSITY_TOL):
+    if isinstance(state, HermOp) and not is_psd(state):
         raise ValueError("state is not positive semidefinite")
 
 
@@ -173,9 +171,3 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
-
-def matrix_element(op: HermOp, bra: Ket, ket: Ket) -> complex:
-    """Matrix element <bra|M|ket>."""
-    if not (op.register == bra.register == ket.register):
-        raise RegisterMismatchError("operator and kets live on different registers")
-    return complex(np.vdot(bra.amplitudes, op.matrix @ ket.amplitudes))

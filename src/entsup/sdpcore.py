@@ -34,7 +34,6 @@ import numpy as np
 from .linops import HermOp, Partition, _transpose_subsystems
 from .qstate import Ket, density
 
-DEFAULT_TOL = 1e-6
 FEASIBILITY_TOL = 1e-7
 # Largest variable dimension. One solve of a random pure state, all single cuts, took
 # 3-15 s at d = 32, 14-25 s at d = 64 and 109-133 s at d = 128 on a 2-vCPU machine.
@@ -119,7 +118,7 @@ def build_robustness_sdp(state: HermOp | Ket, partitions: Sequence[Partition]) -
     return SdpProblem(offsets, gather)
 
 
-def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
+def solve(problem: SdpProblem, tol: float) -> SdpSolution:
     """Run the ADMM until the primal-dual certificate gap drops below tol.
 
     Deterministic for fixed inputs. Spending ``MAX_ITERATIONS`` returns the
@@ -127,7 +126,6 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    max_iter = MAX_ITERATIONS
     k, d = problem.offsets.shape[:2]
     negativities = np.clip(-np.linalg.eigvalsh(problem.cones(0.0)), 0.0, None).sum(axis=1)
     step = min(1.0, max(tol, 2.0 * float(negativities.max())))
@@ -138,7 +136,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     best = None
 
     iterations = 0
-    while iterations < max_iter:
+    while iterations < MAX_ITERATIONS:
         iterations += 1
         w, v = np.linalg.eigh(problem.cones(x - duals))
         slots = problem.transpose(_scaled_outer(v, np.clip(w, 0.0, None)))
@@ -148,7 +146,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
         duals += slots
         duals -= x
 
-        if iterations % CHECK_EVERY == 0 or iterations == max_iter:
+        if iterations % CHECK_EVERY == 0 or iterations == MAX_ITERATIONS:
             neg = _scaled_outer(v, np.clip(-w, 0.0, None) / step)
             primal, dual, x_feas, z = _certificate_attempt(problem, x, neg)
             gap = primal - dual

@@ -144,18 +144,13 @@ def check_bound_k(
     """
     gamma_norm = superpose(coeffs, psi, phi).norm() ** 2
     k = witness_k(w)
-    return _class_report(lambda: (psi, phi), coeffs, k, e_psi, e_phi, e_gamma, gamma_norm)
-
-
-def _class_report(branches, coeffs, k, e_psi, e_phi, e_gamma, gamma_norm) -> BoundReport:
-    """The class-k bound for a known class constant k; ``branches()`` builds psi and phi."""
     _check_nonnegative(e_psi=e_psi, e_phi=e_phi, e_gamma=e_gamma)
     return _make_report(
         e_gamma,
         _rhs_terms(abs(coeffs.a), abs(coeffs.b), e_psi, e_phi, k),
         "witness-class",
         gamma_norm,
-        payload=lambda _: _instance_payload(*branches(), coeffs, k=k),
+        lambda _: _instance_payload(psi.register, psi.amplitudes, phi.amplitudes, coeffs, k=k),
     )
 
 
@@ -172,9 +167,7 @@ def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
     """
     if n < 2:
         raise ValueError(f"the saturation experiment needs n >= 2, got {n}")
-    coeffs = SuperposCoeffs(
-        1 / math.sqrt(2), cmath.exp(1j * phi) / math.sqrt(2)
-    )
+    coeffs = SuperposCoeffs(1 / math.sqrt(2), cmath.exp(1j * phi) / math.sqrt(2))
 
     gamma = ghz(n, phi)
     lower = max(0.0, -reflection_expectation(gamma.amplitudes, gamma))
@@ -186,9 +179,15 @@ def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
             upper=upper,
         )
 
-    report = _class_report(
-        lambda: tuple(basis_ket(gamma.register, (bit,) * n) for bit in (0, 1)),
-        coeffs, max(REFLECTION_CLASS), 0.0, 0.0, lower, gamma.norm() ** 2,
+    register, k = gamma.register, max(REFLECTION_CLASS)
+    report = _make_report(
+        lower,
+        _rhs_terms(abs(coeffs.a), abs(coeffs.b), 0.0, 0.0, k),
+        "witness-class",
+        gamma.norm() ** 2,
+        lambda _: _instance_payload(
+            register, *(basis_ket(register, (bit,) * n).amplitudes for bit in (0, 1)), coeffs, k=k
+        ),
     )
     if not report.saturated:
         raise SaturationFailureError(
@@ -273,6 +272,8 @@ def sweep_blocks(
         raise ValueError("need at least one sample")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if qubits < 2:
+        raise ValueError(f"a sweep needs at least 2 qubits, got {qubits}")
     register = qubit_register(qubits)
     partitions = linops.single_cut_partitions(register)
     rows = samples * (len(partitions) if config.kind == "negativity" else 1)
@@ -280,24 +281,20 @@ def sweep_blocks(
         raise ValueError(f"a sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS}")
     per_block = max(1, SWEEP_BLOCK_AMPLITUDES // register.size)
     blocks = (range(i, min(i + per_block, samples)) for i in range(0, samples, per_block))
-    return (sweep_block(config, qubits, block, seed) for block in blocks)
+    return (_sweep_block(config.kind, register, partitions, block, seed) for block in blocks)
 
 
-def sweep_block(
-    config: QuantifierConfig, qubits: int, indices: range, seed: int = DEFAULT_SEED
-) -> SweepColumns:
+def _sweep_block(kind, register, partitions, indices, seed) -> SweepColumns:
     """The sweep's rows for the samples ``indices``, evaluated at once by :func:`_bound_rows`.
 
     The first violating row, in (index, cut) order, raises.
     """
-    register = qubit_register(qubits)
-    partitions = linops.single_cut_partitions(register)
     kets, a, b = _draw_block(register.size, indices, seed)
-    abs_a, abs_b, _, lhs, terms, c = _bound_rows(config.kind, register, partitions, kets, a, b)
+    abs_a, abs_b, _, lhs, terms, c = _bound_rows(kind, register, partitions, kets, a, b)
     rhs, gap = _check_rows(
         lhs,
         terms,
-        lambda pos: _row_payload(config.kind, register, partitions, kets, a, b, c, *pos),
+        lambda pos: _row_payload(kind, register, partitions, kets, a, b, c, *pos),
         lambda pos: {"sample_index": indices[pos[0]], "seed": seed},
     )
     cuts = gap.shape[1]
@@ -366,8 +363,8 @@ def _row_payload(kind, register, partitions, kets, a, b, c, row, col):
     """The instance payload of ``row`` and cut ``col`` of a :func:`_bound_rows` stack."""
     cut = sorted(partitions[col].transposed)
     extra = {"partition": cut} if kind == "negativity" else {"k": float(c[row, 0])}
-    psi, phi = (Ket(register, ket[row]) for ket in kets[:2])
-    return _instance_payload(psi, phi, SuperposCoeffs(a[row], b[row]), **extra)
+    coeffs = SuperposCoeffs(a[row], b[row])
+    return _instance_payload(register, kets[0, row], kets[1, row], coeffs, **extra)
 
 
 def _draw_block(size, indices, seed):
@@ -429,12 +426,6 @@ def _norms(kets: np.ndarray) -> np.ndarray:
     return np.sqrt(linops.row_dot(kets.real, kets.real) + linops.row_dot(kets.imag, kets.imag))
 
 
-def _robustness_report(psi, phi, coeffs):
-    """Class-k bound at the best single cut's maximally entangled witness (:func:`_bound_rows`)."""
-    partitions = linops.single_cut_partitions(psi.register)
-    return _instance_report("generalized_robustness", psi, phi, coeffs, partitions)
-
-
 def _make_report(lhs, terms, kind, gamma_norm, payload):
     """Assemble the report; ``payload`` is as for :func:`_check_rows`."""
     rhs, gap = _check_rows(lhs, terms, payload)
@@ -472,11 +463,12 @@ def _check_rows(lhs, terms, payload, after=lambda pos: {}):
     return rhs, gap
 
 
-def _instance_payload(psi, phi, coeffs, **extra):
+def _instance_payload(register, psi, phi, coeffs, **extra):
+    """A violation's instance: the register, both branches' amplitudes, a, b, then ``extra``."""
     return {
-        "dims": list(psi.register.dims),
-        "psi": complex_pairs(psi.amplitudes),
-        "phi": complex_pairs(phi.amplitudes),
+        "dims": list(register.dims),
+        "psi": complex_pairs(psi),
+        "phi": complex_pairs(phi),
         "a": [coeffs.a.real, coeffs.a.imag],
         "b": [coeffs.b.real, coeffs.b.imag],
         **extra,

@@ -98,13 +98,11 @@ def eval_witness(w: Witness, state: HermOp | Ket) -> float:
 
     The imaginary residue of the trace must stay below 1e-10 and is dropped.
     """
+    if state.register != w.op.register:
+        raise RegisterMismatchError("witness and state live on different registers")
     if isinstance(state, Ket):
-        val = linops.matrix_element(w.op, state, state)
+        val = complex(np.vdot(state.amplitudes, w.op.matrix @ state.amplitudes))
     else:
-        if state.register != w.op.register:
-            raise RegisterMismatchError(
-                "witness and state live on different registers"
-            )
         # Both operators are Hermitian, so Tr(W rho) = sum_ij conj(rho_ij) W_ij.
         val = complex(np.vdot(state.matrix, w.op.matrix))
     if abs(val.imag) > 1e-10:

@@ -460,7 +460,7 @@ def test_sweep_unwritable_csv_fails_before_sampling(tmp_path, monkeypatch, capsy
     def unreachable(*args, **kwargs):
         raise AssertionError("a sample was drawn for an unwritable --csv")
 
-    monkeypatch.setattr(cli_mod.supbound, "sweep_block", unreachable)
+    monkeypatch.setattr(cli_mod.supbound, "_draw_block", unreachable)
     target = tmp_path / "no" / "such" / "dir" / "rows.csv"
     code = main(["sweep", "--samples", "5", "--csv", str(target)])
     captured = capsys.readouterr()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entsup.linops import (
+    PSD_TOL,
     HermOp,
     Partition,
     is_psd,
@@ -127,10 +128,10 @@ def test_is_psd_examples(rng):
     v = Ket(qubit_register(2), random_pure_amplitudes(rng, 4))
     assert is_psd(density(v))
     pauli_z = HermOp(Register((2,)), np.diag([1.0, -1.0]))
-    assert not is_psd(pauli_z, tol=1e-9)
+    assert not is_psd(pauli_z)
     assert is_psd(HermOp(Register((2,)), np.zeros((2, 2))))
-    with pytest.raises(ValueError):
-        is_psd(pauli_z, tol=-1.0)
+    assert is_psd(HermOp(Register((2,)), np.diag([1.0, -PSD_TOL])))
+    assert not is_psd(HermOp(Register((2,)), np.diag([1.0, -2 * PSD_TOL])))
 
 
 def test_neg_eigenspace_projector_examples(rng):

@@ -26,7 +26,6 @@ from entsup.quantifiers import QuantifierConfig, negativity
 from entsup.supbound import (
     BoundViolationError,
     SweepColumns,
-    _robustness_report,
     check_bound_k,
     check_bound_negativity,
     ghz_saturation_experiment,
@@ -40,6 +39,12 @@ from conftest import random_pure_amplitudes
 from oracles import dense_negativity_report, dense_robustness_report
 
 REPORT_FIELDS = ("lhs", "term_psi", "term_phi", "cross_term", "rhs", "gap", "gamma_norm")
+
+
+def _robustness_report(psi, phi, coeffs):
+    """Class-k bound at the best single cut's maximally entangled witness."""
+    cuts = single_cut_partitions(psi.register)
+    return supbound._instance_report("generalized_robustness", psi, phi, coeffs, cuts)
 
 
 def test_rhs_from_witness_norm_examples():
@@ -207,19 +212,45 @@ def test_check_bound_k_equality_beyond_symmetric_point():
     assert abs(report.gap) <= 1e-12
 
 
-def test_check_bound_k_flags_violation_payload():
-    reg = qubit_register(2)
+def _violation_instance(check):
     with pytest.raises(BoundViolationError) as err:
-        check_bound_k(
-            basis_ket(reg, (0, 0)),
-            basis_ket(reg, (1, 1)),
-            SuperposCoeffs(0.9, math.sqrt(1 - 0.81)),
-            ghz_witness(2, 0.0),
-            0.0,
-            0.0,
-            5.0,  # absurd caller-supplied value: must trip the canary
-        )
-    assert "lhs" in err.value.instance and "gap" in err.value.instance
+        check()
+    return err.value.instance
+
+
+def test_check_bound_k_flags_violation_payload(monkeypatch):
+    reg = qubit_register(2)
+    zero, one = basis_ket(reg, (0, 0)), basis_ket(reg, (1, 1))
+    coeffs = SuperposCoeffs(0.9, math.sqrt(1 - 0.81))
+    # An absurd caller-supplied value must trip the canary at the real tolerance.
+    canary = _violation_instance(
+        lambda: check_bound_k(zero, one, coeffs, ghz_witness(2, 0.0), 0.0, 0.0, 5.0)
+    )
+    assert canary["lhs"] == 5.0 and canary["gap"] == canary["rhs"] - 5.0
+    # With the tolerance at -3 every bound reads violated, so each one-row path
+    # reports its instance: the inputs in README order, then both sides.
+    monkeypatch.setattr(supbound, "VIOLATION_TOL", -3.0)
+    psi, phi = ghz(2, 0.4), Ket(reg, np.array([0.6, 0.0, 0.0, 0.8j]))
+    coeffs = SuperposCoeffs(0.6, cmath.exp(0.3j) * 0.8)
+    inputs = {
+        "dims": [2, 2],
+        "psi": [[z.real, z.imag] for z in psi.amplitudes],
+        "phi": [[z.real, z.imag] for z in phi.amplitudes],
+        "a": [0.6, 0.0],
+        "b": [coeffs.b.real, coeffs.b.imag],
+    }
+    checks = [
+        (lambda: check_bound_negativity(psi, phi, coeffs, part(1)), "partition", [1]),
+        (lambda: _robustness_report(psi, phi, coeffs), "k", 1.0),
+        (lambda: check_bound_k(psi, phi, coeffs, ghz_witness(2, 0.0), 0.0, 0.0, 5.0), "k", 1.0),
+    ]
+    for check, extra, value in checks:
+        instance = _violation_instance(check)
+        assert list(instance) == [*inputs, extra, "lhs", "rhs", "gap"]
+        assert {key: instance[key] for key in inputs} == inputs
+        assert instance[extra] == value
+        assert instance["gap"] == instance["rhs"] - instance["lhs"]
+    assert list(canary) == list(instance) and canary["k"] == 1.0
 
 
 def test_ghz_saturation_experiment_examples():
@@ -518,10 +549,23 @@ def test_sweep_checks_its_seed_before_sampling(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a sample was drawn for a negative seed")
 
-    monkeypatch.setattr(supbound, "sweep_block", unreachable)
+    monkeypatch.setattr(supbound, "_draw_block", unreachable)
     for sweep in (sweep_blocks, random_sweep):
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
             sweep(QuantifierConfig(), 2, 5, -1)
+
+
+@pytest.mark.parametrize("qubits", [1, 0, -2])
+def test_sweep_checks_its_qubit_count_before_sampling(monkeypatch, qubits):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sample was drawn for fewer than 2 qubits")
+
+    monkeypatch.setattr(supbound, "_draw_block", unreachable)
+    message = f"^a sweep needs at least 2 qubits, got {qubits}$"
+    for kind in ("negativity", "generalized_robustness"):
+        for sweep in (sweep_blocks, random_sweep):
+            with pytest.raises(ValueError, match=message):
+                sweep(QuantifierConfig(kind=kind), qubits, 5, 0)
 
 
 def test_quantifier_config_accepts_only_the_sweep_kinds():

@@ -18,6 +18,7 @@ from entsup.linops import (
 from entsup.qstate import (
     Ket,
     Register,
+    RegisterMismatchError,
     basis_ket,
     density,
     ghz,
@@ -69,8 +70,9 @@ def test_eval_witness_identity(rng):
 
 
 def test_eval_witness_register_mismatch():
-    with pytest.raises(ValueError):
-        eval_witness(ghz_witness(2), density(ghz(3)))
+    for state in (density(ghz(3)), ghz(3)):
+        with pytest.raises(RegisterMismatchError):
+            eval_witness(ghz_witness(2), state)
 
 
 def test_negativity_witness_two_qubit_saturation():
