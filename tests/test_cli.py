@@ -486,16 +486,18 @@ def test_quantify_solver_failure_partial_results(tmp_path, monkeypatch, capsys):
 
 
 def test_rg_ppt_sdp_failure_carries_the_best_primal(tmp_path, monkeypatch, capsys):
-    # 25 iterations cannot certify a gap of 1e-12, so rg_ppt_sdp itself raises.
+    # 25 iterations leave this state at a gap of about 0.03, far from 1e-12, so
+    # rg_ppt_sdp itself raises. (Bell is certified to 1e-15 within 25.)
     monkeypatch.setattr(sdpcore, "MAX_ITERATIONS", 25)
-    ket = ghz(2, 0.0)
+    rng = np.random.default_rng([7, 3, 0])
+    ket = Ket(qubit_register(3), random_pure_amplitudes(rng, 8))
     parts = single_cut_partitions(ket.register)
     stopped = sdpcore.solve(sdpcore.build_robustness_sdp(ket, parts), tol=1e-12)
     assert stopped.status == "max_iter"
     with pytest.raises(SolverFailureError) as failure:
         rg_ppt_sdp(ket, parts, tol=1e-12)
     assert failure.value.best_value == stopped.primal_value
-    path = write_state(tmp_path, "bell.json", ket)
+    path = write_state(tmp_path, "random3.json", ket)
     code, report = run_cli(
         capsys, "quantify", path, "--quantifier", "robustness", "--tolerance", "1e-12"
     )

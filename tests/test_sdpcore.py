@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entsup import sdpcore
 from entsup.linops import HermOp, part, single_cut_partitions
@@ -23,6 +25,18 @@ from oracles import robustness_by_bisection
 
 def bell_problem():
     return build_robustness_sdp(density(ghz(2, 0.0)), [part(0)])
+
+
+def random3_problem():
+    """A random 3-qubit ket over all single cuts, slow enough to stop on a budget.
+
+    Bell is certified to a gap of 1e-15 within 25 iterations. This state is left
+    at a gap of about 0.034 after 25 iterations and 0.020 after 30; at tolerance
+    1e-6 it is certified with a gap of 8e-7, far above the 1e-9 value check.
+    """
+    rng = np.random.default_rng([7, 3, 0])
+    ket = Ket(qubit_register(3), random_pure_amplitudes(rng, 8))
+    return build_robustness_sdp(ket, single_cut_partitions(ket.register))
 
 
 def test_build_robustness_sdp_shapes():
@@ -114,7 +128,7 @@ def test_certificate_rejects_violated_constraint():
 
 
 def test_certificate_rejects_large_gap(monkeypatch):
-    problem = bell_problem()
+    problem = random3_problem()
     solution = solve(problem, tol=1e-6)
     wide = SdpSolution(
         x_opt=solution.x_opt,
@@ -133,13 +147,13 @@ def test_certificate_rejects_large_gap(monkeypatch):
 
 
 def test_certificate_rejects_a_tampered_dual():
-    problem = bell_problem()
+    problem = random3_problem()
     solution = solve(problem, tol=1e-6)
     z = solution.dual_stack
     # Cone 0 (X >= 0) has offset 0, so moving Z_0 along I keeps the dual value
     # and breaks only sum_i Z_i^{T_i} <= I, or only Z_0 >= 0.
     shift = np.zeros_like(z)
-    shift[0] = np.eye(4)
+    shift[0] = np.eye(problem.variable_dim)
     tampered = [
         replace(solution, dual_stack=2.0 * z),
         replace(solution, dual_value=solution.primal_value, gap=0.0),
@@ -152,7 +166,7 @@ def test_certificate_rejects_a_tampered_dual():
 
 def test_max_iter_status(monkeypatch):
     monkeypatch.setattr(sdpcore, "MAX_ITERATIONS", 30)
-    solution = solve(bell_problem(), tol=1e-12)
+    solution = solve(random3_problem(), tol=1e-12)
     assert solution.status == "max_iter"
     assert solution.dual_value <= solution.primal_value + 1e-8
 
@@ -207,8 +221,9 @@ def test_certificate_holds_on_random_states(n):
 
 
 def test_iteration_count_on_random_pure_states():
-    # The step set from the cut negativities needs 2 925 iterations on these
-    # ten states; residual balancing of the step needed 6 350.
+    # The accelerated solver needs 850 iterations on these ten states. The
+    # plain ADMM with the step set from the cut negativities needed 2 925, and
+    # with residual balancing of the step 6 350.
     total = 0
     for s in range(10):
         rng = np.random.default_rng([7, 3, s])
@@ -218,13 +233,14 @@ def test_iteration_count_on_random_pure_states():
         solution = solve(problem, tol=1e-6)
         assert solution.status == "optimal" and check_certificate(problem, solution, tol=1e-6)
         total += solution.iterations
-    assert total <= 4000
+    assert total <= 1200
 
 
 def test_near_product_states_are_certified_quickly():
     # |00> + eps|11> has optimum 2 eps / (1 + eps^2). A step of 1 needs about
     # 1/eps iterations (28 125 at eps = 1e-4); residual balancing needed
-    # 3 325 over these six states, the step set from the negativity 325.
+    # 3 325 over these six states, the step set from the negativity 325, and
+    # that step with acceleration 150.
     total = 0
     for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
         amps = np.zeros(4, dtype=complex)
@@ -235,7 +251,45 @@ def test_near_product_states_are_certified_quickly():
         assert solution.status == "optimal" and check_certificate(problem, solution, tol=1e-6)
         assert solution.primal_value == pytest.approx(2 * eps / (1 + eps**2), abs=1e-6)
         total += solution.iterations
-    assert total <= 1000
+    assert total <= 300
+
+
+def test_safeguard_keeps_extrapolation_from_stalling():
+    # Acceptance criterion 7's third state. The safeguard drops one extrapolated
+    # point on the way; at tolerance 1e-12 the solver without it needed 50.
+    gen = np.random.default_rng(707)
+    for _ in range(3):
+        amps = random_pure_amplitudes(gen, 4)
+    problem = build_robustness_sdp(density(Ket(qubit_register(2), amps)), [part(0)])
+    for tol, budget in ((1e-6, 100), (1e-12, 25)):
+        solution = solve(problem, tol=tol)
+        assert solution.status == "optimal" and solution.iterations <= budget, tol
+        assert check_certificate(problem, solution, tol=tol)
+
+
+@given(
+    n=st.integers(2, 3),
+    rank=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.one_of(st.none(), st.integers(25, 50)),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_solve_return_carries_its_certificate(n, rank, seed, budget):
+    # Kets (rank 0) and rank-r densities over all single cuts; a certified stop
+    # and a budget stop alike return points that check_certificate accepts.
+    rng = np.random.default_rng(seed)
+    reg = qubit_register(n)
+    if rank == 0:
+        state = Ket(reg, random_pure_amplitudes(rng, 2**n))
+    else:
+        state = HermOp(reg, random_density_matrix(rng, 2**n, rank=rank))
+    problem = build_robustness_sdp(state, single_cut_partitions(reg))
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(sdpcore, "MAX_ITERATIONS", budget)
+        solution = solve(problem, tol=1e-6)
+    assert solution.status == "optimal" or solution.iterations == budget
+    assert check_certificate(problem, solution, tol=max(1e-6, solution.gap))
 
 
 def test_one_batched_eigensolve_per_iteration(monkeypatch):
