@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,31 +137,118 @@ def neg_eigenspace_projector(op: HermOp) -> HermOp:
 def schmidt_coefficients(psi: Ket, partition: Partition) -> np.ndarray:
     """Nonincreasing Schmidt coefficients (read-only) of a pure state across a bipartition.
 
-    The ket keeps them, so each (ket, cut) pays one SVD however often it is read.
+    The ket keeps them, so each (ket, cut) is computed once however often it is
+    read. The first read of a cut that splits off one qubit site computes every
+    such cut of the register, in one pass for a small ket.
     """
     s = psi._schmidt.get(partition)
     if s is None:
-        s = schmidt_spectra(psi.amplitudes, psi.register, partition)
-        s.setflags(write=False)
-        psi._schmidt[partition] = s
+        qubit_cuts = _qubit_cuts(psi.register)
+        cuts = qubit_cuts if partition in qubit_cuts else [partition]
+        for p, x in zip(cuts, schmidt_spectra(psi.amplitudes, psi.register, cuts)):
+            x.setflags(write=False)
+            psi._schmidt[p] = x
+        s = psi._schmidt[partition]
     return s
 
 
-def schmidt_spectra(amplitudes: np.ndarray, register: Register, partition: Partition) -> np.ndarray:
-    """Nonincreasing Schmidt coefficients of each ket in a (..., d) stack: one batched SVD.
+@functools.lru_cache(maxsize=64)
+def _qubit_cuts(register: Register) -> tuple[Partition, ...]:
+    """The single-site partitions of the register's qubits, whose splits are 2 x m."""
+    return tuple(Partition(frozenset({i})) for i, dim in enumerate(register.dims) if dim == 2)
 
-    Each ket is reshaped to a d_A x d_B matrix, with A the subsystems in ``partition``,
-    which must be a nonempty proper subset of the register's.
+
+# A ket whose one-qubit cuts hold at most this many amplitudes in all (12 qubits)
+# has the two rows of every such cut copied out at once, so a small ket pays a
+# few numpy calls rather than a few per cut; a stack is copied this many
+# amplitudes at a time. A larger ket reads each cut through a strided view, with
+# no copy. The choice depends on the register alone, so a ket's coefficients do
+# not depend on the stack it is read in.
+GATHER_LIMIT = 2**16
+
+
+def schmidt_spectra(amplitudes: np.ndarray, register: Register, partitions) -> np.ndarray:
+    """Nonincreasing Schmidt coefficients of each ket in a (..., d) stack across each partition.
+
+    Returns a (..., len(partitions), r) array, zero-padded to the longest
+    spectrum r. Each partition, the A side of a d_A x d_B split of every ket,
+    must be a nonempty proper subset of the register's subsystems. A cut that
+    splits off one qubit site (d_A = 2) is read in closed form from the two rows
+    of its 2 x m split (:func:`_two_row_spectra`); any other cut pays one batched SVD.
     """
-    partition.validate(register, proper=True)
-    dims = register.dims
-    lead = amplitudes.shape[:-1]
+    for p in partitions:
+        p.validate(register, proper=True)
+    dims, lead = register.dims, amplitudes.shape[:-1]
+    sizes = [math.prod(dims[i] for i in p.transposed) for p in partitions]
+    out = np.zeros(lead + (len(partitions), max(min(n, register.size // n) for n in sizes)))
+    two_row = [j for j, n in enumerate(sizes) if n == 2]
+    if two_row:
+        sites = tuple(min(partitions[j].transposed) for j in two_row)
+        out[..., two_row, :2] = _two_row_spectra(amplitudes, dims, sites)
     k = len(lead)
-    rest = sorted(set(range(len(dims))) - partition.transposed)
-    axes = list(range(k)) + [k + i for i in sorted(partition.transposed) + rest]
-    d_a = math.prod(dims[i] for i in partition.transposed)
-    cut = amplitudes.reshape(lead + tuple(dims)).transpose(axes).reshape(lead + (d_a, -1))
-    return np.linalg.svd(cut, compute_uv=False)
+    for j, p in enumerate(partitions):
+        if sizes[j] == 2:
+            continue
+        rest = sorted(set(range(len(dims))) - p.transposed)
+        axes = list(range(k)) + [k + i for i in sorted(p.transposed) + rest]
+        cut = amplitudes.reshape(lead + dims).transpose(axes).reshape(lead + (sizes[j], -1))
+        out[..., j, : min(cut.shape[-2:])] = np.linalg.svd(cut, compute_uv=False)
+    return out
+
+
+def _two_row_spectra(amplitudes: np.ndarray, dims, sites) -> np.ndarray:
+    """(..., len(sites), 2) Schmidt coefficients across the qubit ``sites`` of a (..., d) stack.
+
+    Site q's split is the (prod(dims[:q]), 2, prod(dims[q+1:])) view of each ket,
+    its two rows read with the qubit axis first (:func:`_row_pair_spectra`).
+    """
+    lead, d = amplitudes.shape[:-1], amplitudes.shape[-1]
+    if d * len(sites) <= GATHER_LIMIT:
+        index = _two_row_index(dims, sites)
+        kets = amplitudes.reshape(-1, d)
+        step = GATHER_LIMIT // index.size
+        chunks = (np.take(kets[i : i + step], index, axis=-1) for i in range(0, len(kets), step))
+        s = np.concatenate([_row_pair_spectra(x[..., None, :]) for x in chunks])
+        return s.reshape(lead + s.shape[1:])
+    views = (amplitudes.reshape(lead + (math.prod(dims[:q]), 2, -1)) for q in sites)
+    return np.stack([_row_pair_spectra(np.moveaxis(v, -2, -3)) for v in views], axis=-2)
+
+
+@functools.lru_cache(maxsize=16)
+def _two_row_index(dims, sites) -> np.ndarray:
+    """(len(sites), 2, d/2) flat positions of the two rows of each site's split."""
+    flat = np.arange(math.prod(dims))
+    index = np.stack(
+        [np.moveaxis(flat.reshape(math.prod(dims[:q]), 2, -1), 1, 0).reshape(2, -1) for q in sites]
+    )
+    index.setflags(write=False)
+    return index
+
+
+def _row_pair_spectra(rows: np.ndarray) -> np.ndarray:
+    """Both singular values of each 2 x m matrix in a (..., 2, p, q) stack; a row is p x q.
+
+    With n_i = ||r_i||^2 and c = <r_0|r_1>, the Gram matrix gives
+    s_1^2 = (n_0 + n_1 + hypot(n_0 - n_1, 2|c|)) / 2, and s_1 s_2 = sqrt(det G)
+    = ||r_0|| ||r_1 - (c/n_0) r_0||. The residual is O(eps) on a product cut,
+    where det G = n_0 n_1 - |c|^2 would keep an O(eps) rounding error and its
+    root an O(1e-8) one, above ``PSD_TOL``. A zero row pair gives zeros.
+    """
+    n = _squared_norms(rows)
+    n0, n1 = n[..., 0], n[..., 1]
+    r0, r1 = rows[..., 0, :, :], rows[..., 1, :, :]
+    c = np.einsum("...ij,...ij->...", r0.conj(), r1)
+    s1 = np.sqrt(0.5 * (n0 + n1 + np.hypot(n0 - n1, 2.0 * np.abs(c))))
+    residual = (c / np.where(n0 > 0, n0, 1.0))[..., None, None] * r0
+    np.subtract(r1, residual, out=residual)
+    s2 = np.sqrt(n0 * _squared_norms(residual)) / np.where(s1 > 0, s1, 1.0)
+    return np.stack((s1, np.minimum(s2, s1)), axis=-1)
+
+
+def _squared_norms(blocks: np.ndarray) -> np.ndarray:
+    """Squared norm of each (p, q) block of a complex (..., p, q) stack whose last axis is contiguous."""
+    x = blocks.view(np.float64)
+    return np.einsum("...ij,...ij->...", x, x)
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

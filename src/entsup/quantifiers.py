@@ -56,8 +56,9 @@ def pt_profile(
 
     The flag says whether the partially transposed state is positive
     semidefinite within ``PSD_TOL``. A dense operator pays one eigensolve of
-    each rho^{T_A}. A ket pays one SVD per cut: with Schmidt coefficients
-    s_1 >= s_2 >= ..., the spectrum of |psi><psi|^{T_A} is s_i^2 and
+    each rho^{T_A}. A ket reads its Schmidt coefficients
+    (:func:`entsup.linops.schmidt_coefficients`) s_1 >= s_2 >= ..., and the
+    spectrum of |psi><psi|^{T_A} is s_i^2 and
     +-s_i s_j for i < j, so the negativity is sum_{i<j} s_i s_j and the
     smallest eigenvalue is -s_1 s_2 (Vidal & Werner, PRA 65, 032314, 2002).
     """

@@ -313,8 +313,9 @@ def _bound_rows(kind, register, partitions, kets, a, b):
 
     ``kets`` holds psi and phi; its third slice receives the unit gamma, or the
     zero ket, whose every closed form is 0, where gamma vanishes (squared norm
-    below ``VANISHING_NORM_SQ``). Each cut pays one batched SVD over the three
-    branches; zeros pad the shorter spectra, adding nothing to any closed form.
+    below ``VANISHING_NORM_SQ``). The three branches' spectra come from one
+    :func:`entsup.linops.schmidt_spectra` call, whose zero padding of shorter
+    spectra adds nothing to any closed form.
     c is ||W|| per cut for the negativity; for the robustness, the class k of
     the best single-cut witness (1 where it witnesses anything, else 0).
     """
@@ -325,10 +326,7 @@ def _bound_rows(kind, register, partitions, kets, a, b):
     vanishes = gamma_norm < VANISHING_NORM_SQ
     kets[2] /= np.where(vanishes, 1.0, norm)[:, None]
     kets[2, vanishes] = 0.0
-    spectra = [linops.schmidt_spectra(kets, register, p) for p in partitions]
-    s = np.zeros(kets.shape[:2] + (len(partitions), max(x.shape[-1] for x in spectra)))
-    for j, x in enumerate(spectra):
-        s[..., j, : x.shape[-1]] = x
+    s = linops.schmidt_spectra(kets, register, partitions)
     if kind == "negativity":
         e_psi, e_phi = quantifiers.schmidt_negativity(s[:2])
         value, c = negativity_witness_values(s[2])

@@ -157,15 +157,17 @@ def negativity_witness_values(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |a_i b_j> of E and -A/2 on span{|a_i b_i>}, with A the 0/1 adjacency
     matrix of E, so ||W|| = lambda_max(A)/2: one batched eigensolve of r x r
     pair graphs, r the most vertices E has in any row. Vertices outside E only
-    add zero eigenvalues, and both values are 0 when E is empty.
+    add zero eigenvalues, and both values are 0 when E is empty. With r = 2,
+    as on every one-qubit cut, E is at most the edge {0, 1}, whose lambda_max
+    is 1, so no eigensolve runs.
     """
     products = s[..., :, None] * s[..., None, :]
     edges = np.triu(products > linops.NEG_EIGENSPACE_TOL, 1)
     value = np.sum(products, axis=(-2, -1), where=edges)
     # s is nonincreasing, so E lives on vertices 0..r-1 and each of them meets vertex 0.
     r = int(np.count_nonzero(edges[..., 0, :], axis=-1).max(initial=0)) + 1
-    if r == 1:
-        return value, np.zeros_like(value)
+    if r <= 2:
+        return value, 0.5 * edges[..., 0, 1]
     adjacency = (edges | np.swapaxes(edges, -2, -1))[..., :r, :r].astype(float)
     return value, 0.5 * np.linalg.eigvalsh(adjacency)[..., -1]
 

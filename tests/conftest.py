@@ -1,5 +1,7 @@
 """Shared test helpers: independent oracles and random-instance generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -40,6 +42,15 @@ def loop_partial_transpose(matrix: np.ndarray, dims, axes) -> np.ndarray:
             cj = [di[k] if k in axes else dj[k] for k in range(n)]
             out[flat(ri), flat(cj)] = matrix[i, j]
     return out
+
+
+def traced_peak(call):
+    """Run call() under tracemalloc; return its result and the peak traced bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def ket_to_state_document(ket: Ket) -> dict:

@@ -5,8 +5,8 @@ PPT-relaxed robustness program at a given mixing weight is decided by plain
 alternating projections onto the constraint cones, and the optimum is then
 bracketed by bisection on the weight. The partial transpose is realized
 through explicit digit arithmetic rather than the library's axis swaps.
-The dense constructors at the end (tensor products, Schmidt vectors and the
-cut witness as a d x d matrix) check the library's closed forms, and the two
+The dense constructors at the end (tensor products, Schmidt vectors by SVD and
+the cut witness as a d x d matrix) check the library's closed forms, and the two
 dense bound reports check the superposition bounds against them.
 """
 
@@ -194,6 +194,27 @@ def schmidt_decomposition(psi, partition):
     cut = psi.amplitudes.reshape(psi.register.dims).transpose(perm).reshape(d_a, d_b)
     u, s, vh = np.linalg.svd(cut, full_matrices=False)
     return s, u, vh.T
+
+
+def svd_spectra(amplitudes, register, partitions):
+    """Singular values of each ket in a (..., d) stack across each partition, one SVD each.
+
+    The layout of ``entsup.linops.schmidt_spectra``: (..., len(partitions), r),
+    zero-padded to the longest spectrum r.
+    """
+    kets = np.asarray(amplitudes).reshape(-1, register.size)
+    spectra = []
+    for partition in partitions:
+        perm, d_a, d_b = _split_axes(register, partition)
+        spectra.append([
+            np.linalg.svd(ket.reshape(register.dims).transpose(perm).reshape(d_a, d_b), compute_uv=False)
+            for ket in kets
+        ])
+    out = np.zeros((len(kets), len(partitions), max(len(rows[0]) for rows in spectra)))
+    for j, rows in enumerate(spectra):
+        for i, s in enumerate(rows):
+            out[i, j, : len(s)] = s
+    return out.reshape(np.shape(amplitudes)[:-1] + out.shape[1:])
 
 
 def embed_product_vector(register, partition, a_vec, b_vec):

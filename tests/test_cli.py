@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entsup
-from entsup import sdpcore
+from entsup import linops, sdpcore
 from entsup.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -29,13 +28,19 @@ from entsup.cli import (
 )
 from entsup.linops import single_cut_partitions
 from entsup.qstate import Ket, Register, density, ghz, qubit_register
-from entsup.quantifiers import pt_profile, rg_lower_pure, rg_lower_via_witness, rg_ppt_sdp
+from entsup.quantifiers import (
+    QuantifierConfig,
+    pt_profile,
+    rg_lower_pure,
+    rg_lower_via_witness,
+    rg_ppt_sdp,
+)
 from entsup.sdpcore import MAX_DIMENSION, SolverFailureError
-from entsup.supbound import BoundViolationError, SweepColumns
+from entsup.supbound import BoundViolationError, SweepColumns, sweep_blocks
 from entsup.witnesses import DEFAULT_SEED
 
-from conftest import ket_to_state_document, random_pure_amplitudes, unit_kets
-from oracles import maxent_cut_witness
+from conftest import ket_to_state_document, random_pure_amplitudes, traced_peak, unit_kets
+from oracles import maxent_cut_witness, svd_spectra
 
 
 def write_state(tmp_path, name, ket):
@@ -54,15 +59,6 @@ def count_solves(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return solves
-
-
-def traced_peak(call):
-    """Run call() under tracemalloc; return its result and the peak traced bytes."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def schmidt_oracle(ket):
@@ -236,27 +232,46 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
     assert header == "index,abs_a,abs_b,lhs,rhs,gap"
 
 
-# sha256 of the seed-1 sweep CSVs of 300 samples, as written when every sample
-# seeded its own default_rng([seed, index]).
+# sha256 of the seed-1 sweep CSVs of 300 samples, as written with every
+# one-qubit cut's Schmidt coefficients in closed form. The test below checks
+# the same rows against one SVD per ket and cut.
 SEED_1_CSV_SHA256 = {
-    ("negativity", 2): "74fd35f92650436f9361f3be5b829b7d460d697220f29583bdf330b2389d2a1e",
-    ("negativity", 3): "cfb8271268b33c4873f9639eed81644209d6b7fdb3c4eab28627c1390269559a",
-    ("negativity", 5): "e44f238b87ca56b644633cbf5e53a68f2f0dfadd17ca64af3162b4bc810e9dce",
-    ("robustness", 2): "637af726b784c5121b39a8a5651b3f54518a5ac1fcd449ac9985a8075af53cbb",
-    ("robustness", 3): "d7e5da97d9f5c8dd6268a1a4af09ddbb1c75391e9cdfded1fc3007f02eaa7112",
-    ("robustness", 5): "9bea7e350a9db4149d07528288552a96303f34a1f0fb54010c2d1421da69e4d3",
+    ("negativity", 2): "4a0d36a5c15ed259c751f9db31b853e83e463770ca9f420e204eb8223e25d0c4",
+    ("negativity", 3): "26aa12cc869c3c00c4a37aa6bdbfe7776972c35288ac985664a2718f4b280327",
+    ("negativity", 5): "4a5883eeb9f3c13dd61a9d1dc150d09ec72c2d3a2f6134e78009217e9a6c7758",
+    ("robustness", 2): "fcfb50cf45cea02a973097eb6f512694d8cb7916e73be5968e4220c3c28d40c6",
+    ("robustness", 3): "e92508e34391075dcdce628cbded3c5e3626686d7037b13f1ee459b6d289aafd",
+    ("robustness", 5): "35fc6dde9f5cc65e07c82e626dca7386a67641db391fa872f661b08bb212b3e6",
 }
 
 
-@pytest.mark.parametrize(("quantifier", "qubits"), sorted(SEED_1_CSV_SHA256))
-def test_seed_1_sweep_csvs_are_pinned(tmp_path, capsys, quantifier, qubits):
+def _seed_1_csv(tmp_path, capsys, quantifier, qubits):
     target = tmp_path / "rows.csv"
     code, _ = run_cli(
         capsys, "sweep", "--quantifier", quantifier, "--qubits", str(qubits),
         "--samples", "300", "--seed", "1", "--csv", str(target),
     )
     assert code == EXIT_OK
+    return target
+
+
+@pytest.mark.parametrize(("quantifier", "qubits"), sorted(SEED_1_CSV_SHA256))
+def test_seed_1_sweep_csvs_are_pinned(tmp_path, capsys, quantifier, qubits):
+    target = _seed_1_csv(tmp_path, capsys, quantifier, qubits)
     assert hashlib.sha256(target.read_bytes()).hexdigest() == SEED_1_CSV_SHA256[quantifier, qubits]
+
+
+@pytest.mark.parametrize(("quantifier", "qubits"), sorted(SEED_1_CSV_SHA256))
+def test_seed_1_sweep_rows_match_the_svd_oracle(tmp_path, capsys, monkeypatch, quantifier, qubits):
+    # The draws and coefficients are exact; only the values read off Schmidt
+    # coefficients (lhs, rhs, gap) may differ from the SVD route, by rounding.
+    rows = np.loadtxt(_seed_1_csv(tmp_path, capsys, quantifier, qubits), delimiter=",", skiprows=1)
+    monkeypatch.setattr(linops, "schmidt_spectra", svd_spectra)
+    kind = "negativity" if quantifier == "negativity" else "generalized_robustness"
+    blocks = sweep_blocks(QuantifierConfig(kind=kind), qubits, 300, 1)
+    oracle = np.column_stack([np.concatenate(column) for column in zip(*blocks)])
+    assert np.array_equal(rows[:, :3], oracle[:, :3])
+    assert np.max(np.abs(rows[:, 3:] - oracle[:, 3:])) <= 1e-14
 
 
 def test_a_wrong_bulk_seeding_is_not_an_input_error(tmp_path, monkeypatch):
@@ -646,27 +661,21 @@ def test_quantify_negativity_solves_each_cut_once(tmp_path, capsys, monkeypatch,
     solves = count_solves(monkeypatch)
     code, _ = run_cli(capsys, "quantify", path, "--quantifier", "negativity")
     assert code == EXIT_OK
-    # One SVD of the 2 x 4 amplitude matrix per cut, and no 8 x 8 matrix at all.
-    assert solves == [("svd", (2, 4))] * 3
+    # Each cut splits off one qubit, so its two Schmidt coefficients come in closed
+    # form from the two rows of the 2 x 4 amplitude matrix: no SVD and no eigensolve.
+    assert solves == []
 
 
 def test_negativity_sweep_solves_no_register_sized_matrix(capsys, monkeypatch):
-    # A block stacks its samples: per branch and cut one SVD of (N, 2, 2^(q-1))
-    # amplitude matrices, and one eigensolve of (N, cuts, 2, 2) pair graphs, so
-    # the number of solves does not grow with the number of samples.
+    # Every sweep cut splits off one qubit: its Schmidt coefficients come in closed
+    # form and its witness norm from the one pair-graph edge, so no block solves
+    # anything, whether its rows are gathered in one chunk (few samples), in
+    # several (many), or read in place (13 qubits, above GATHER_LIMIT).
     solves = count_solves(monkeypatch)
-    for qubits in (2, 3):
-        counts = []
-        for samples in (5, 50):
-            solves.clear()
-            code, _ = run_cli(capsys, "sweep", "--qubits", str(qubits), "--samples", str(samples))
-            assert code == EXIT_OK
-            assert {shape[-2:] for name, shape in solves if name == "svd"} == {
-                (2, 2 ** (qubits - 1))
-            }
-            assert {shape[-2:] for name, shape in solves if name != "svd"} == {(2, 2)}
-            counts.append(len(solves))
-        assert counts[0] == counts[1], counts
+    for qubits, samples in [*itertools.product((2, 3), (5, 50, 5000)), (13, 2)]:
+        code, _ = run_cli(capsys, "sweep", "--qubits", str(qubits), "--samples", str(samples))
+        assert code == EXIT_OK
+        assert solves == [], (qubits, samples)
 
 
 def test_oversized_registers_are_refused_before_allocation(tmp_path, capsys):
@@ -733,10 +742,10 @@ def test_lower_witness_cut_ties_keep_the_lowest_cut(tmp_path, capsys):
 
 
 def test_upper_path_solves_only_site_sized_matrices(tmp_path, capsys, monkeypatch, rng):
-    # The lower bound takes one SVD of the 2 x 4 amplitude matrix per cut and
+    # The lower bound reads each cut's Schmidt coefficients in closed form and
     # the l1 upper bound diagonalises one 2 x 2 reduced density per qubit, so
-    # with the SDP stubbed out a robustness report solves nothing larger. With
-    # all quantifiers the negativity reads the same three SVDs.
+    # with the SDP stubbed out a robustness report solves nothing else. With
+    # all quantifiers the negativity reads the same cached coefficients.
     import entsup.cli as cli_mod
 
     monkeypatch.setattr(cli_mod.quantifiers, "rg_ppt_sdp", lambda *args, **kwargs: 0.0)
@@ -747,7 +756,7 @@ def test_upper_path_solves_only_site_sized_matrices(tmp_path, capsys, monkeypatc
         path = write_state(tmp_path, "state.json", ket)
         code, report = run_cli(capsys, "quantify", path, "--quantifier", quantifier)
         assert code == EXIT_OK
-        assert solves == [("svd", (2, 4))] * 3 + [("eigh", (2, 2))] * 3
+        assert solves == [("eigh", (2, 2))] * 3
         rob = report["results"]["robustness"]
         assert list(rob) == [
             "lower", "lower_witness_cut", "upper", "upper_certified", "upper_candidate", "ppt_sdp"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entsup import linops
 from entsup.linops import (
     PSD_TOL,
     HermOp,
@@ -16,12 +17,15 @@ from entsup.linops import (
     operator_norm,
     part,
     partial_transpose,
+    schmidt_coefficients,
+    schmidt_spectra,
     single_cut_partitions,
 )
 from entsup.qstate import Ket, Register, density, ghz, qubit_register
+from entsup.quantifiers import pt_profile
 
-from conftest import loop_partial_transpose, random_hermitian, random_pure_amplitudes
-from oracles import embed_product_vector, schmidt_decomposition
+from conftest import loop_partial_transpose, random_hermitian, random_pure_amplitudes, traced_peak
+from oracles import embed_product_vector, schmidt_decomposition, svd_spectra
 
 
 def test_hermiticity_is_enforced():
@@ -182,3 +186,97 @@ def test_schmidt_reconstruction(rng):
         )
         assert np.max(np.abs(rebuilt - psi.amplitudes)) <= 1e-12
         assert np.all(np.diff(s) <= 1e-15)
+
+
+@pytest.fixture(params=["gathered", "strided"])
+def two_row_route(request, monkeypatch):
+    """Each test that takes this runs twice: small kets gathered, then every ket strided."""
+    if request.param == "strided":
+        monkeypatch.setattr(linops, "GATHER_LIMIT", 0)
+    return request.param
+
+
+def _unit_stack(rng, shape):
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_qubit_cuts_match_svd_on_random_stacks(two_row_route, n):
+    reg = qubit_register(n)
+    cuts = single_cut_partitions(reg)
+    stack = _unit_stack(np.random.default_rng(n), (3, 2, 2**n))
+    ours = schmidt_spectra(stack, reg, cuts)
+    assert ours.shape == (3, 2, n, 2)
+    assert np.max(np.abs(ours - svd_spectra(stack, reg, cuts))) <= 1e-14
+    assert np.all(ours[..., 1] <= ours[..., 0])
+
+
+def test_qubit_cuts_of_ghz_and_zero_kets(two_row_route):
+    # GHZ cuts have s_1 = s_2; a vanishing gamma enters a sweep as the zero ket.
+    for n in range(2, 13):
+        reg = qubit_register(n)
+        stack = np.stack([ghz(n, 0.7).amplitudes, np.zeros(2**n), ghz(n, 2.0, orthogonal=True).amplitudes])
+        s = schmidt_spectra(stack, reg, single_cut_partitions(reg))
+        assert np.max(np.abs(s[[0, 2]] - math.sqrt(0.5))) <= 1e-15
+        assert np.array_equal(s[1], np.zeros((n, 2)))
+
+
+def test_other_cuts_keep_the_svd(monkeypatch, rng):
+    # Only a split with two rows (one qubit site on the A side) takes the closed
+    # form; qudit sites and multi-site cuts each pay one batched SVD.
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+    for dims, axes in (
+        ((3, 2, 4), ([0], [1], [0, 2], [2])),
+        ((2, 2, 2), ([0, 1], [2], [0, 2])),
+        ((2, 2, 2, 2), ([1, 2], [3], [0, 1, 3])),
+    ):
+        reg = Register(dims)
+        cuts = [Partition(frozenset(a)) for a in axes]
+        stack = _unit_stack(rng, (2, reg.size))
+        oracle = svd_spectra(stack, reg, cuts)
+        calls.clear()
+        ours = schmidt_spectra(stack, reg, cuts)
+        assert ours.shape == oracle.shape
+        assert np.max(np.abs(ours - oracle)) <= 1e-14
+        sizes = [math.prod(dims[i] for i in a) for a in axes]
+        assert [shape[-2] for shape in calls] == [n for n in sizes if n != 2]
+
+
+def test_product_cuts_stay_ppt(two_row_route):
+    # On a cut across which the state is a product, det G = n_0 n_1 - |c|^2
+    # cancels to an O(eps) rounding error, so sqrt(det G) reads O(1e-8) and
+    # breaks PSD_TOL. The closed form's orthogonal residual stays O(eps).
+    rng = np.random.default_rng(0)
+    worst, gram_misses = 0.0, 0
+    for trial in range(2000):
+        n = 2 + trial % 9
+        q = int(rng.integers(n))
+        site = random_pure_amplitudes(rng, 2)
+        rest = random_pure_amplitudes(rng, 2 ** (n - 1)).reshape((2,) * (n - 1))
+        amp = np.moveaxis(np.multiply.outer(site, rest), 0, q).reshape(-1)
+        ket = Ket(qubit_register(n), amp)
+        worst = max(worst, float(schmidt_coefficients(ket, part(q))[1]))
+        assert pt_profile(ket, [part(q)]) == [(pytest.approx(0.0, abs=1e-14), True)]
+        rows = np.moveaxis(amp.reshape((2,) * n), q, 0).reshape(2, -1)
+        gram = rows @ rows.conj().T
+        det = gram[0, 0].real * gram[1, 1].real - abs(gram[0, 1]) ** 2
+        gram_misses += math.sqrt(max(det, 0.0)) / np.linalg.norm(amp) > PSD_TOL
+    assert worst <= 1e-14
+    assert gram_misses > 100  # the set does exercise the trap
+
+
+def test_qubit_cuts_of_a_large_ket_stay_within_twice_the_register():
+    # Above GATHER_LIMIT each cut is read through a strided view: the peak stays
+    # near one residual row, far below the n x d of gathering every cut at once.
+    n = 16
+    ket = Ket(qubit_register(n), random_pure_amplitudes(np.random.default_rng(16), 2**n))
+    cuts = single_cut_partitions(ket.register)
+    profile, peak = traced_peak(lambda: pt_profile(ket, cuts))
+    assert len(profile) == n
+    assert peak < 2 * ket.amplitudes.nbytes, peak
+    stack = np.stack([ket.amplitudes] * 3)
+    _, peak = traced_peak(lambda: schmidt_spectra(stack, ket.register, cuts))
+    assert peak < 2 * stack.nbytes, peak

@@ -283,3 +283,20 @@ def test_negativity_witness_expectation_examples(rng):
     value, norm = negativity_witness_values(schmidt_coefficients(psi, part(0, 2)))
     assert norm == pytest.approx(1.5, abs=1e-14)
     assert (value, norm) == pytest.approx(_dense_negativity_witness(psi, part(0, 2)), abs=1e-12)
+
+
+def test_one_edge_witness_norm_is_the_eigensolve_bit_for_bit(rng):
+    # Two Schmidt coefficients give at most the edge {0, 1}, whose adjacency
+    # [[0, 1], [1, 0]] has lambda_max exactly 1: the norm skips the eigensolve
+    # and keeps its bits, on entangled, product (no edge) and zero rows alike.
+    s = np.abs(rng.standard_normal((50, 3, 2)))
+    s.sort(axis=-1)
+    s = s[..., ::-1].copy()
+    s[:10, :, 1] = 0.0
+    s[10:20] = 0.0
+    s[20:30, :, 1] = 1e-10
+    value, norm = negativity_witness_values(s)
+    edge = (s[..., 0] * s[..., 1] > NEG_EIGENSPACE_TOL).astype(float)
+    adjacency = np.stack([np.zeros_like(edge), edge, edge, np.zeros_like(edge)], -1).reshape(50, 3, 2, 2)
+    assert np.array_equal(norm, 0.5 * np.linalg.eigvalsh(adjacency)[..., -1])
+    assert np.array_equal(value, np.where(edge > 0, s[..., 0] * s[..., 1], 0.0))
