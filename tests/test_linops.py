@@ -268,6 +268,22 @@ def test_product_cuts_stay_ppt(two_row_route):
     assert gram_misses > 100  # the set does exercise the trap
 
 
+def test_a_qubit_cut_read_fills_the_cuts_that_share_its_pass():
+    # Up to GATHER_LIMIT a ket's one-qubit cuts cost one pass together, so the
+    # first read of one keeps them all; a larger ket computes only what it reads.
+    for dims, read, kept in (
+        ((2,) * 12, part(0), 12),
+        ((2,) * 13, part(0), 1),
+        ((3, 2, 2), part(1), 2),
+        ((3, 2, 2), part(0), 1),
+        ((2, 2, 2), part(0, 1), 1),
+    ):
+        reg = Register(dims)
+        ket = Ket(reg, random_pure_amplitudes(np.random.default_rng(len(dims)), reg.size))
+        schmidt_coefficients(ket, read)
+        assert len(ket._schmidt) == kept, dims
+
+
 def test_qubit_cuts_of_a_large_ket_stay_within_twice_the_register():
     # Above GATHER_LIMIT each cut is read through a strided view: the peak stays
     # near one residual row, far below the n x d of gathering every cut at once.

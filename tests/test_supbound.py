@@ -460,6 +460,22 @@ def test_sweep_rows_match_the_scalar_bound(kind, qubits):
         )
 
 
+@pytest.mark.parametrize("qubits", [12, 13])
+def test_scalar_negativity_check_is_the_sweep_row_bit_for_bit(qubits):
+    # The scalar check reads one cut and the sweep all of them. Twelve qubits'
+    # cut rows are gathered and thirteen's read in place, whichever call reads them.
+    reg = qubit_register(qubits)
+    cuts = single_cut_partitions(reg)
+    rows = _sweep_rows(QuantifierConfig(kind="negativity"), qubits, 2, 5)
+    kets, a, b = supbound._draw_block(reg.size, range(2), 5)
+    for i in range(2):
+        psi, phi, coeffs = Ket(reg, kets[0, i]), Ket(reg, kets[1, i]), SuperposCoeffs(a[i], b[i])
+        for j, cut in enumerate(cuts):
+            report = check_bound_negativity(psi, phi, coeffs, cut)
+            row = i * len(cuts) + j
+            assert (report.lhs, report.rhs, report.gap) == (rows.lhs[row], rows.rhs[row], rows.gap[row])
+
+
 @pytest.mark.parametrize("kind", ["negativity", "generalized_robustness"])
 @pytest.mark.parametrize("qubits", [2, 3])
 def test_sweep_blocks_do_not_change_rows(monkeypatch, kind, qubits):
