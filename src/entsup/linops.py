@@ -134,41 +134,14 @@ def neg_eigenspace_projector(op: HermOp) -> HermOp:
     return HermOp(op.register, cols @ cols.conj().T)
 
 
-def schmidt_coefficients(psi: Ket, partition: Partition) -> np.ndarray:
-    """Nonincreasing Schmidt coefficients (read-only) of a pure state across a bipartition.
-
-    The ket keeps them, so each (ket, cut) is computed once however often it is
-    read. A ket small enough to have its one-qubit cuts' rows gathered (see
-    ``GATHER_LIMIT``) computes all those cuts on the first read of one, as they
-    cost one pass together; a larger ket computes each cut as it is read.
-    """
-    s = psi._schmidt.get(partition)
-    if s is None:
-        dims, cuts = psi.register.dims, [partition]
-        if _gathers_rows(dims):
-            qubit_cuts = [Partition(frozenset({i})) for i, dim in enumerate(dims) if dim == 2]
-            if partition in qubit_cuts:
-                cuts = qubit_cuts
-        for p, x in zip(cuts, schmidt_spectra(psi.amplitudes, psi.register, cuts)):
-            x.setflags(write=False)
-            psi._schmidt[p] = x
-        s = psi._schmidt[partition]
-    return s
-
-
 # A ket whose one-qubit cuts hold at most this many amplitudes in all (12 qubits)
-# has the two rows of each such cut it reads copied out at once, so a small ket
-# pays a few numpy calls rather than a few per cut; a stack is copied about this
-# many amplitudes at a time. A larger ket reads each cut through a strided view,
-# with no copy. The route depends on the register alone, never on how many cuts
-# or kets one call reads, so a (ket, cut)'s coefficients keep their bits
-# whichever call reads them.
+# has the two rows of every one-qubit cut a call reads copied out at once, so a
+# small ket pays a few numpy calls rather than a few per cut; a stack is copied
+# about this many amplitudes at a time. A larger ket reads each cut through a
+# strided view, with no copy. The route depends on the register alone, never on
+# how many cuts or kets one call reads, so a (ket, cut)'s coefficients keep
+# their bits whichever call reads them.
 GATHER_LIMIT = 2**16
-
-
-def _gathers_rows(dims) -> bool:
-    """True when a ket over ``dims`` has its one-qubit cuts' rows gathered (``GATHER_LIMIT``)."""
-    return math.prod(dims) * dims.count(2) <= GATHER_LIMIT
 
 
 def schmidt_spectra(amplitudes: np.ndarray, register: Register, partitions) -> np.ndarray:
@@ -207,7 +180,7 @@ def _two_row_spectra(amplitudes: np.ndarray, dims, sites) -> np.ndarray:
     its two rows read with the qubit axis first (:func:`_row_pair_spectra`).
     """
     lead, d = amplitudes.shape[:-1], amplitudes.shape[-1]
-    if _gathers_rows(dims):
+    if d * dims.count(2) <= GATHER_LIMIT:
         index = _two_row_index(dims, sites)
         kets = amplitudes.reshape(-1, d)
         step = max(1, GATHER_LIMIT // index.size)

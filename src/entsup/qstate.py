@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -61,15 +61,10 @@ def qubit_register(n: int) -> Register:
 
 @dataclass(frozen=True, eq=False)
 class Ket:
-    """Dense complex amplitude vector over a register.
-
-    The amplitudes are read-only, so each cut's Schmidt coefficients are kept
-    once computed (:func:`entsup.linops.schmidt_coefficients`).
-    """
+    """Dense complex amplitude vector over a register, read-only once built."""
 
     register: Register
     amplitudes: np.ndarray
-    _schmidt: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         amp = np.array(self.amplitudes, dtype=np.complex128)

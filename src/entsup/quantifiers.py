@@ -56,19 +56,20 @@ def pt_profile(
 
     The flag says whether the partially transposed state is positive
     semidefinite within ``PSD_TOL``. A dense operator pays one eigensolve of
-    each rho^{T_A}. A ket reads its Schmidt coefficients
-    (:func:`entsup.linops.schmidt_coefficients`) s_1 >= s_2 >= ..., and the
+    each rho^{T_A}. A ket reads the Schmidt coefficients s_1 >= s_2 >= ... of
+    every cut in one :func:`entsup.linops.schmidt_spectra` call, and the
     spectrum of |psi><psi|^{T_A} is s_i^2 and
     +-s_i s_j for i < j, so the negativity is sum_{i<j} s_i s_j and the
     smallest eigenvalue is -s_1 s_2 (Vidal & Werner, PRA 65, 032314, 2002).
     """
     linops.check_density(state)
+    # schmidt_spectra needs a cut to size its output; no cuts fall through to [].
+    if isinstance(state, Ket) and partitions:
+        s = linops.schmidt_spectra(state.amplitudes, state.register, partitions)
+        flags = s[:, 0] * s[:, 1] <= linops.PSD_TOL
+        return [(float(v), bool(f)) for v, f in zip(schmidt_negativity(s), flags)]
     profile = []
     for p in partitions:
-        if isinstance(state, Ket):
-            s = linops.schmidt_coefficients(state, p)
-            profile.append((float(schmidt_negativity(s)), bool(s[0] * s[1] <= linops.PSD_TOL)))
-            continue
         p.validate(state.register, proper=True)
         w = linops.partial_transpose(state, p).eigenvalues()
         profile.append((float(np.sum(np.clip(-w, 0.0, None))), bool(w[0] >= -linops.PSD_TOL)))
@@ -157,8 +158,9 @@ def rg_lower_pure(psi: Ket) -> tuple[float, list[int] | None]:
     witnesses anything.
     """
     cuts = linops.single_cut_partitions(psi.register)
-    values = np.array([maxent_cut_value(linops.schmidt_coefficients(psi, c)) for c in cuts])
-    best, index = best_single_cut(values)
+    best, index = best_single_cut(
+        maxent_cut_value(linops.schmidt_spectra(psi.amplitudes, psi.register, cuts))
+    )
     return float(best), None if index < 0 else sorted(cuts[index].transposed)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from entsup.linops import schmidt_spectra
 from entsup.qstate import Ket, Register, complex_pairs
 
 # Fixed draws and no example database, so a run's result depends on the code alone.
@@ -51,6 +52,11 @@ def traced_peak(call):
         return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def cut_spectrum(psi: Ket, cut) -> np.ndarray:
+    """Nonincreasing Schmidt coefficients of one ket across one cut, unpadded."""
+    return schmidt_spectra(psi.amplitudes, psi.register, [cut])[0]
 
 
 def ket_to_state_document(ket: Ket) -> dict:

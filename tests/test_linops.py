@@ -17,14 +17,19 @@ from entsup.linops import (
     operator_norm,
     part,
     partial_transpose,
-    schmidt_coefficients,
     schmidt_spectra,
     single_cut_partitions,
 )
 from entsup.qstate import Ket, Register, density, ghz, qubit_register
 from entsup.quantifiers import pt_profile
 
-from conftest import loop_partial_transpose, random_hermitian, random_pure_amplitudes, traced_peak
+from conftest import (
+    cut_spectrum,
+    loop_partial_transpose,
+    random_hermitian,
+    random_pure_amplitudes,
+    traced_peak,
+)
 from oracles import embed_product_vector, schmidt_decomposition, svd_spectra
 
 
@@ -258,7 +263,7 @@ def test_product_cuts_stay_ppt(two_row_route):
         rest = random_pure_amplitudes(rng, 2 ** (n - 1)).reshape((2,) * (n - 1))
         amp = np.moveaxis(np.multiply.outer(site, rest), 0, q).reshape(-1)
         ket = Ket(qubit_register(n), amp)
-        worst = max(worst, float(schmidt_coefficients(ket, part(q))[1]))
+        worst = max(worst, float(cut_spectrum(ket, part(q))[1]))
         assert pt_profile(ket, [part(q)]) == [(pytest.approx(0.0, abs=1e-14), True)]
         rows = np.moveaxis(amp.reshape((2,) * n), q, 0).reshape(2, -1)
         gram = rows @ rows.conj().T
@@ -266,22 +271,6 @@ def test_product_cuts_stay_ppt(two_row_route):
         gram_misses += math.sqrt(max(det, 0.0)) / np.linalg.norm(amp) > PSD_TOL
     assert worst <= 1e-14
     assert gram_misses > 100  # the set does exercise the trap
-
-
-def test_a_qubit_cut_read_fills_the_cuts_that_share_its_pass():
-    # Up to GATHER_LIMIT a ket's one-qubit cuts cost one pass together, so the
-    # first read of one keeps them all; a larger ket computes only what it reads.
-    for dims, read, kept in (
-        ((2,) * 12, part(0), 12),
-        ((2,) * 13, part(0), 1),
-        ((3, 2, 2), part(1), 2),
-        ((3, 2, 2), part(0), 1),
-        ((2, 2, 2), part(0, 1), 1),
-    ):
-        reg = Register(dims)
-        ket = Ket(reg, random_pure_amplitudes(np.random.default_rng(len(dims)), reg.size))
-        schmidt_coefficients(ket, read)
-        assert len(ket._schmidt) == kept, dims
 
 
 def test_qubit_cuts_of_a_large_ket_stay_within_twice_the_register():

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from entsup import linops
 from entsup.linops import (
     PSD_TOL,
     HermOp,
     Partition,
     part,
-    schmidt_coefficients,
     single_cut_partitions,
 )
-from entsup.qstate import Ket, basis_ket, density, ghz, qubit_register
+from entsup.qstate import Ket, Register, basis_ket, density, ghz, qubit_register
 from entsup.quantifiers import (
     DIAGONAL_TOL,
     RobustnessBounds,
@@ -24,6 +24,7 @@ from entsup.quantifiers import (
     negativity,
     ppt_check,
     pt_profile,
+    rg_lower_pure,
     rg_lower_via_witness,
     rg_ppt_sdp,
     rg_upper_pure,
@@ -38,7 +39,7 @@ from entsup.witnesses import (
     zero_witness,
 )
 
-from conftest import loop_partial_transpose, random_pure_amplitudes, unit_kets
+from conftest import cut_spectrum, loop_partial_transpose, random_pure_amplitudes, unit_kets
 from oracles import diagonal_mixing_scan, schmidt_decomposition, tensor
 
 
@@ -409,23 +410,50 @@ def _all_cuts(register):
 
 
 @st.composite
-def _ket_and_cut(draw):
-    """A unit ket and a random nonempty proper subset of its sites."""
+def _ket_and_cuts(draw):
+    """A unit ket and a list of nonempty proper subsets of its sites, of mixed sizes."""
     ket = draw(unit_kets())
     n = ket.register.nsub
-    return ket, Partition(frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))))
+    cut = st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)
+    return ket, [Partition(frozenset(c)) for c in draw(st.lists(cut, min_size=1, max_size=5))]
 
 
-@given(case=_ket_and_cut())
+@given(case=_ket_and_cuts())
 @settings(max_examples=200, deadline=None)
 def test_ket_pt_profile_matches_dense(case):
-    ket, cut = case
-    [(value, flag)] = pt_profile(ket, [cut])
-    [(dense_value, dense_flag)] = pt_profile(density(ket), [cut])
-    assert value == pytest.approx(dense_value, abs=1e-12)
-    s = schmidt_coefficients(ket, cut)
-    if abs(s[0] * s[1] - PSD_TOL) > 1e-12:
-        assert flag == dense_flag
+    # One call reads every cut, its shorter spectra zero-padded to the longest;
+    # the padding changes no bit of any cut's values.
+    ket, cuts = case
+    profile = pt_profile(ket, cuts)
+    per_cut = [pt_profile(ket, [cut])[0] for cut in cuts]
+    assert [(v.hex(), f) for v, f in profile] == [(v.hex(), f) for v, f in per_cut]
+    dense = pt_profile(density(ket), cuts)
+    for cut, (value, flag), (dense_value, dense_flag) in zip(cuts, profile, dense):
+        assert value == pytest.approx(dense_value, abs=1e-12)
+        s = cut_spectrum(ket, cut)
+        if abs(s[0] * s[1] - PSD_TOL) > 1e-12:
+            assert flag == dense_flag
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(2,) * 3, (2,) * 12, (2,) * 13, (3, 2, 2)],
+    ids=["3-qubits", "12-qubits-gathered", "13-qubits-strided", "3-2-2"],
+)
+def test_ket_readers_read_all_their_cuts_in_one_call(monkeypatch, dims):
+    # 12 qubits gather the one-qubit cuts' rows, 13 read them through strided views.
+    reg = Register(dims)
+    ket = Ket(reg, random_pure_amplitudes(np.random.default_rng(reg.nsub), reg.size))
+    spectra, calls = linops.schmidt_spectra, []
+    monkeypatch.setattr(
+        linops, "schmidt_spectra", lambda *args: calls.append(args[2]) or spectra(*args)
+    )
+    cuts = single_cut_partitions(reg) + [part(0, 1)]
+    assert len(pt_profile(ket, cuts)) == len(cuts)
+    assert calls == [cuts]
+    calls.clear()
+    rg_lower_pure(ket)
+    assert calls == [single_cut_partitions(reg)]
 
 
 def _w3():
@@ -451,6 +479,7 @@ def test_ket_pt_profile_fixed_cases(ket, expected):
     cuts = _all_cuts(ket.register)
     profile = pt_profile(ket, cuts)
     dense = pt_profile(density(ket), cuts)
+    assert pt_profile(ket, []) == [] and ppt_check(ket, []) == []
     for cut, (value, flag), (dense_value, dense_flag) in zip(cuts, profile, dense):
         want_value, want_flag = expected(cut)
         assert value == pytest.approx(want_value, abs=1e-12)

@@ -171,6 +171,17 @@ def test_max_iter_status(monkeypatch):
     assert solution.dual_value <= solution.primal_value + 1e-8
 
 
+def test_the_slowest_measured_solve_fits_the_budget():
+    # A random 4-qubit ket over all single cuts needs about 4 100 iterations at
+    # 1e-6, the most of any measured solve; MAX_ITERATIONS must leave it room.
+    ket = Ket(qubit_register(4), random_pure_amplitudes(np.random.default_rng(0), 16))
+    problem = build_robustness_sdp(ket, single_cut_partitions(ket.register))
+    solution = solve(problem, tol=1e-6)
+    assert solution.status == "optimal"
+    assert solution.primal_value == pytest.approx(2.0189389, abs=1e-6)
+    assert check_certificate(problem, solution, tol=1e-6)
+
+
 def test_solve_matches_bisection_oracle(rng):
     reg = qubit_register(2)
     for trial in range(50):

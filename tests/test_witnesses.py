@@ -13,7 +13,6 @@ from entsup.linops import (
     Partition,
     operator_norm,
     part,
-    schmidt_coefficients,
 )
 from entsup.qstate import (
     Ket,
@@ -40,7 +39,13 @@ from entsup.witnesses import (
     zero_witness,
 )
 
-from conftest import random_density_matrix, random_hermitian, random_pure_amplitudes, unit_kets
+from conftest import (
+    cut_spectrum,
+    random_density_matrix,
+    random_hermitian,
+    random_pure_amplitudes,
+    unit_kets,
+)
 from oracles import grid_product_overlap_2q, maxent_cut_witness
 
 
@@ -228,10 +233,10 @@ def test_ket_expectations_match_the_dense_witnesses(rng):
             assert reflection_expectation(chi, psi) == pytest.approx(dense, abs=1e-12)
             for cut in cuts:
                 dense = eval_witness(maxent_cut_witness(psi, cut), psi)
-                value = maxent_cut_value(schmidt_coefficients(psi, cut))
+                value = maxent_cut_value(cut_spectrum(psi, cut))
                 assert -value == pytest.approx(dense, abs=1e-12)
     product = basis_ket(reg, (1, 2, 0))
-    assert maxent_cut_value(schmidt_coefficients(product, part(1))) == 0.0
+    assert maxent_cut_value(cut_spectrum(product, part(1))) == 0.0
 
 
 def test_eval_witness_on_operator_matches_trace(rng):
@@ -255,7 +260,7 @@ def test_negativity_witness_expectation_matches_dense_chain(ket, data):
     sites = range(ket.register.nsub)
     size = data.draw(st.integers(1, ket.register.nsub - 1))
     cut = Partition(frozenset(data.draw(st.permutations(sites))[:size]))
-    s = schmidt_coefficients(ket, cut)
+    s = cut_spectrum(ket, cut)
     products = np.outer(s, s)[np.triu_indices(s.size, 1)]
     # Within rounding of the threshold the two paths may disagree on E.
     assume(not np.any(np.abs(products - NEG_EIGENSPACE_TOL) < 1e-12))
@@ -267,20 +272,20 @@ def test_negativity_witness_expectation_matches_dense_chain(ket, data):
 
 def test_negativity_witness_expectation_examples(rng):
     product = basis_ket(qubit_register(2), (0, 1))
-    assert negativity_witness_values(schmidt_coefficients(product, part(0))) == (0.0, 0.0)
-    value, norm = negativity_witness_values(schmidt_coefficients(ghz(2, 0.3), part(1)))
+    assert negativity_witness_values(cut_spectrum(product, part(0))) == (0.0, 0.0)
+    value, norm = negativity_witness_values(cut_spectrum(ghz(2, 0.3), part(1)))
     assert value == pytest.approx(0.5, abs=1e-15) and norm == pytest.approx(0.5, abs=1e-15)
     # A star: s_0 s_1 and s_0 s_2 enter E, s_1 s_2 = 1e-11 does not. The pair
     # graph gives sqrt(2)/2; a complete graph on three vertices would give 1.
     amps = np.zeros(9, dtype=complex)
     amps[[0, 4, 8]] = 1.0, 1e-5, 1e-6
     star = Ket(Register((3, 3)), amps / np.linalg.norm(amps))
-    value, norm = negativity_witness_values(schmidt_coefficients(star, part(0)))
+    value, norm = negativity_witness_values(cut_spectrum(star, part(0)))
     assert norm == pytest.approx(math.sqrt(0.5), abs=1e-14)
     assert (value, norm) == pytest.approx(_dense_negativity_witness(star, part(0)), abs=1e-14)
     # A 2|2 cut of a random 4-qubit ket has Schmidt rank 4 and E = K_4: 3/2.
     psi = Ket(qubit_register(4), random_pure_amplitudes(rng, 16))
-    value, norm = negativity_witness_values(schmidt_coefficients(psi, part(0, 2)))
+    value, norm = negativity_witness_values(cut_spectrum(psi, part(0, 2)))
     assert norm == pytest.approx(1.5, abs=1e-14)
     assert (value, norm) == pytest.approx(_dense_negativity_witness(psi, part(0, 2)), abs=1e-12)
 
