@@ -127,7 +127,7 @@ def parse_partitions(specs: list[str] | None, register: Register) -> list[Partit
             raise StateFileError(f"bad partition {spec!r}: {err}") from err
     parts = parts or linops.single_cut_partitions(register)
     for p in parts:
-        p.validate(register, proper=True)
+        p.validate(register)
     return parts
 
 

@@ -32,7 +32,7 @@ class HermOp:
             raise ValueError(
                 f"matrix shape {m.shape} does not match register size {d}"
             )
-        dev = float(np.max(np.abs(m - m.conj().T))) if d else 0.0
+        dev = float(np.max(np.abs(m - m.conj().T)))
         if dev > HERMITICITY_TOL:
             raise ValueError(
                 f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}"
@@ -59,15 +59,14 @@ class Partition:
             self, "transposed", frozenset(int(i) for i in self.transposed)
         )
 
-    def validate(self, register: Register, proper: bool = False) -> None:
+    def validate(self, register: Register) -> None:
+        """Every quantifier acts on a bipartition: require a nonempty proper subset."""
         for i in self.transposed:
             if not 0 <= i < register.nsub:
                 raise ValueError(
                     f"subsystem index {i} invalid for a {register.nsub}-part register"
                 )
-        if proper and (
-            not self.transposed or len(self.transposed) == register.nsub
-        ):
+        if not self.transposed or len(self.transposed) == register.nsub:
             raise ValueError(
                 "entanglement tests need a nonempty proper subset of subsystems"
             )
@@ -148,16 +147,18 @@ def schmidt_spectra(amplitudes: np.ndarray, register: Register, partitions) -> n
     """Nonincreasing Schmidt coefficients of each ket in a (..., d) stack across each partition.
 
     Returns a (..., len(partitions), r) array, zero-padded to the longest
-    spectrum r. Each partition, the A side of a d_A x d_B split of every ket,
-    must be a nonempty proper subset of the register's subsystems. A cut that
-    splits off one qubit site (d_A = 2) is read in closed form from the two rows
-    of its 2 x m split (:func:`_two_row_spectra`); any other cut pays one batched SVD.
+    spectrum r (r = 2 for an empty partition list). Each partition, the A side
+    of a d_A x d_B split of every ket, must be a nonempty proper subset of the
+    register's subsystems. A cut that splits off one qubit site (d_A = 2) is
+    read in closed form from the two rows of its 2 x m split
+    (:func:`_two_row_spectra`); any other cut pays one batched SVD.
     """
     for p in partitions:
-        p.validate(register, proper=True)
+        p.validate(register)
     dims, lead = register.dims, amplitudes.shape[:-1]
     sizes = [math.prod(dims[i] for i in p.transposed) for p in partitions]
-    out = np.zeros(lead + (len(partitions), max(min(n, register.size // n) for n in sizes)))
+    r = max((min(n, register.size // n) for n in sizes), default=2)
+    out = np.zeros(lead + (len(partitions), r))
     two_row = [j for j, n in enumerate(sizes) if n == 2]
     if two_row:
         sites = tuple(min(partitions[j].transposed) for j in two_row)

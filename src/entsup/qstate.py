@@ -51,8 +51,6 @@ class Register:
 
 def qubit_register(n: int) -> Register:
     """Register of n qubits."""
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got {n}")
     # Refuse before the n-tuple of dims exists.
     if n >= MAX_REGISTER_SIZE.bit_length():
         raise ValueError(f"register size 2**{n} exceeds the limit of {MAX_REGISTER_SIZE}")

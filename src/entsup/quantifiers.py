@@ -63,14 +63,12 @@ def pt_profile(
     smallest eigenvalue is -s_1 s_2 (Vidal & Werner, PRA 65, 032314, 2002).
     """
     linops.check_density(state)
-    # schmidt_spectra needs a cut to size its output; no cuts fall through to [].
-    if isinstance(state, Ket) and partitions:
+    if isinstance(state, Ket):
         s = linops.schmidt_spectra(state.amplitudes, state.register, partitions)
         flags = s[:, 0] * s[:, 1] <= linops.PSD_TOL
         return [(float(v), bool(f)) for v, f in zip(schmidt_negativity(s), flags)]
     profile = []
     for p in partitions:
-        p.validate(state.register, proper=True)
         w = linops.partial_transpose(state, p).eigenvalues()
         profile.append((float(np.sum(np.clip(-w, 0.0, None))), bool(w[0] >= -linops.PSD_TOL)))
     return profile
@@ -111,7 +109,7 @@ def separability_certificate_diagonal(state: HermOp) -> bool:
     projectors, so this certificate is sound (but far from complete).
     """
     off = state.matrix - np.diag(np.diag(state.matrix))
-    return float(np.max(np.abs(off))) <= DIAGONAL_TOL if off.size else True
+    return float(np.max(np.abs(off))) <= DIAGONAL_TOL
 
 
 def rg_lower_via_witness(rho: HermOp, w: Witness) -> RobustnessBounds:

@@ -117,7 +117,7 @@ def build_robustness_sdp(state: HermOp | Ket, partitions: Sequence[Partition]) -
     if d > MAX_DIMENSION:
         raise ValueError(f"robustness SDP limited to dimension {MAX_DIMENSION}, got {d}")
     for p in partitions:
-        p.validate(state.register, proper=True)
+        p.validate(state.register)
     dims = state.register.dims
     transposed = ((),) + tuple(tuple(sorted(p.transposed)) for p in partitions)
     k = len(transposed)

@@ -165,8 +165,6 @@ def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
     reflection I - 2|GHZ><GHZ| of :func:`entsup.witnesses.ghz_witness`, evaluated
     on the ket and classed by its known spectrum; no 2^n x 2^n matrix is built.
     """
-    if n < 2:
-        raise ValueError(f"the saturation experiment needs n >= 2, got {n}")
     coeffs = SuperposCoeffs(1 / math.sqrt(2), cmath.exp(1j * phi) / math.sqrt(2))
 
     gamma = ghz(n, phi)

@@ -119,7 +119,6 @@ def negativity_optimal_witness(rho: HermOp, partition: Partition) -> Witness:
     witness.
     """
     linops.check_density(rho)
-    partition.validate(rho.register, proper=True)
     rt = linops.partial_transpose(rho, partition)
     proj = linops.neg_eigenspace_projector(rt)
     return Witness(linops.partial_transpose(proj, partition))
@@ -127,8 +126,6 @@ def negativity_optimal_witness(rho: HermOp, partition: Partition) -> Witness:
 
 def ghz_witness(n: int, phi: float = 0.0) -> Witness:
     """Witness I - 2|GHZ_n(phi)><GHZ_n(phi)|; spectrum {-1} + {+1}^(2^n - 1)."""
-    if n < 2:
-        raise ValueError(f"GHZ witnesses need at least 2 qubits, got {n}")
     state = ghz(n, phi)
     return _reflection_witness(state.register, state.amplitudes)
 

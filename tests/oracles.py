@@ -189,7 +189,7 @@ def schmidt_decomposition(psi, partition):
     transposed side and columns of b_vectors on the rest, chosen so that
     ``psi == sum_i coeffs[i] * embed_product_vector(..., a_i, b_i)``.
     """
-    partition.validate(psi.register, proper=True)
+    partition.validate(psi.register)
     perm, d_a, d_b = _split_axes(psi.register, partition)
     cut = psi.amplitudes.reshape(psi.register.dims).transpose(perm).reshape(d_a, d_b)
     u, s, vh = np.linalg.svd(cut, full_matrices=False)

@@ -1,5 +1,6 @@
 """Command-line contract: parsing, outputs, exit codes, determinism."""
 
+import errno
 import hashlib
 import itertools
 import json
@@ -484,6 +485,34 @@ def test_sweep_unwritable_csv_fails_before_sampling(tmp_path, monkeypatch, capsy
     assert str(target) in error and "No such file or directory" in error
 
 
+def test_sweep_csv_move_failure_keeps_the_old_file(tmp_path, monkeypatch, capsys):
+    # The rows are all written; moving PATH.part onto PATH fails as on a full disk.
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    target = tmp_path / "rows.csv"
+    target.write_text("old rows\n")
+    code = main(["sweep", "--samples", "5", "--csv", str(target)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    assert json.loads(captured.err)["error"] == f"--csv {target}: No space left on device"
+    assert list(tmp_path.iterdir()) == [target]  # no rows.csv.part
+    assert target.read_text() == "old rows\n"
+
+
+def test_the_module_entry_point_keeps_the_exit_code_contract(tmp_path):
+    path = write_state(tmp_path, "ghz3.json", ghz(3, 0.0))
+    done = in_new_interpreter("-m", "entsup.cli", "quantify", path)
+    assert done.returncode == EXIT_OK and done.stderr == ""
+    [line] = done.stdout.splitlines()
+    assert json.loads(line)["results"]["negativity"][0]["value"] == pytest.approx(0.5)
+    missing = str(tmp_path / "missing.json")
+    done = in_new_interpreter("-m", "entsup.cli", "quantify", missing)
+    assert done.returncode == EXIT_INPUT and done.stdout == ""
+    assert missing in json.loads(done.stderr)["error"]
+
+
 def test_quantify_solver_failure_partial_results(tmp_path, monkeypatch, capsys):
     import entsup.cli as cli_mod
 
@@ -745,7 +774,7 @@ def test_upper_path_solves_only_site_sized_matrices(tmp_path, capsys, monkeypatc
     # The lower bound reads each cut's Schmidt coefficients in closed form and
     # the l1 upper bound diagonalises one 2 x 2 reduced density per qubit, so
     # with the SDP stubbed out a robustness report solves nothing else. With
-    # all quantifiers the negativity reads the same cached coefficients.
+    # all quantifiers the negativity's closed form solves nothing either.
     import entsup.cli as cli_mod
 
     monkeypatch.setattr(cli_mod.quantifiers, "rg_ppt_sdp", lambda *args, **kwargs: 0.0)

@@ -47,10 +47,15 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         part(3).validate(reg)
     with pytest.raises(ValueError):
-        part().validate(reg, proper=True)
+        part().validate(reg)
     with pytest.raises(ValueError):
-        part(0, 1, 2).validate(reg, proper=True)
+        part(0, 1, 2).validate(reg)
     assert [sorted(p.transposed) for p in single_cut_partitions(reg)] == [[0], [1], [2]]
+    # partial_transpose is the one place the dense paths check their cut.
+    op = HermOp(reg, np.eye(8))
+    for cut in (part(), part(0, 1, 2)):
+        with pytest.raises(ValueError, match="^entanglement tests need a nonempty proper subset"):
+            partial_transpose(op, cut)
 
 
 def test_partial_transpose_is_involution(rng):
@@ -271,6 +276,13 @@ def test_product_cuts_stay_ppt(two_row_route):
         gram_misses += math.sqrt(max(det, 0.0)) / np.linalg.norm(amp) > PSD_TOL
     assert worst <= 1e-14
     assert gram_misses > 100  # the set does exercise the trap
+
+
+def test_an_empty_cut_list_reads_no_cut():
+    reg = qubit_register(3)
+    ket = ghz(3, 0.0).amplitudes
+    assert schmidt_spectra(ket, reg, []).shape == (0, 2)
+    assert schmidt_spectra(np.stack([ket] * 4), reg, []).shape == (4, 0, 2)
 
 
 def test_qubit_cuts_of_a_large_ket_stay_within_twice_the_register():

@@ -32,6 +32,9 @@ def test_register_validation():
         Register(())
     with pytest.raises(ValueError):
         Register((2, 1))
+    for n in (0, -1):  # the empty register is refused by Register itself
+        with pytest.raises(ValueError, match="^a register needs at least one subsystem$"):
+            qubit_register(n)
 
 
 def test_register_size_limit():
@@ -205,6 +208,8 @@ def test_ket_validation():
         Ket(Register((2,)), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         Ket(Register((2,)), np.array([np.inf, 0.0]))
+    with pytest.raises(ValueError, match="^amplitudes must be a flat vector$"):
+        Ket(Register((2, 2)), np.eye(2))
     k = Ket(Register((2,)), np.array([1.0, 0.0]))
     assert k.norm() == 1.0
     with pytest.raises(ValueError):

@@ -16,7 +16,15 @@ from entsup.linops import (
     part,
     single_cut_partitions,
 )
-from entsup.qstate import Ket, Register, basis_ket, density, ghz, qubit_register
+from entsup.qstate import (
+    Ket,
+    Register,
+    RegisterMismatchError,
+    basis_ket,
+    density,
+    ghz,
+    qubit_register,
+)
 from entsup.quantifiers import (
     DIAGONAL_TOL,
     RobustnessBounds,
@@ -140,6 +148,8 @@ def test_mix_examples(rng):
 
     with pytest.raises(ValueError):
         mix(rho, pi, -0.1)
+    with pytest.raises(RegisterMismatchError):
+        mix(rho, density(ghz(2, 0.8)), 1.0)
 
 
 def test_diagonal_certificate():
@@ -172,6 +182,8 @@ def test_rg_upper_trivial_and_unknown():
     self_mix = rg_upper_via_mixing(rho, rho)
     assert self_mix.upper is None
     assert not self_mix.certified_upper
+    with pytest.raises(RegisterMismatchError):
+        rg_upper_via_mixing(rho, density(ghz(3, 0.0)))
 
 
 def test_rg_upper_closed_form_special_cases():
@@ -500,3 +512,49 @@ def test_ket_profile_accepts_the_density_band():
     for state in (outside, density(outside)):
         with pytest.raises(ValueError, match="trace"):
             pt_profile(state, [part(0)])
+
+
+def _haar_unitary(rng, d):
+    """Haar-random d x d unitary: QR of a complex Gaussian, phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _check_local_unitary_and_permutation_invariance(n, seed, support):
+    """A random local frame and qubit permutation move each single cut's negativity and
+    PPT flag with the qubits, leave the witness lower bound alone, and keep upper >= lower."""
+    rng = np.random.default_rng(seed)
+    amps = random_pure_amplitudes(rng, 2**n)
+    amps[rng.permutation(2**n)[support:]] = 0.0  # low-rank and product cuts too
+    ket = Ket(qubit_register(n), amps / np.linalg.norm(amps))
+    local = ket.amplitudes.reshape((2,) * n)
+    for q in range(n):
+        local = np.moveaxis(np.tensordot(_haar_unitary(rng, 2), local, axes=([1], [q])), 0, q)
+    perm = rng.permutation(n)  # qubit j of the new ket is qubit perm[j] of the old one
+    moved = Ket(ket.register, local.transpose(perm).reshape(-1))
+
+    cuts = single_cut_partitions(ket.register)
+    before, after = pt_profile(ket, cuts), pt_profile(moved, cuts)
+    for j, (value, flag) in enumerate(after):
+        old_value, old_flag = before[perm[j]]
+        assert value == pytest.approx(old_value, abs=1e-12)
+        s = cut_spectrum(ket, cuts[perm[j]])
+        if abs(s[0] * s[1] - PSD_TOL) > 1e-12:
+            assert flag == old_flag
+    lower = rg_lower_pure(ket)[0]
+    assert rg_lower_pure(moved)[0] == pytest.approx(lower, abs=1e-12)
+    assert rg_upper_pure(moved)[0] >= lower - 1e-12
+
+
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_local_unitaries_and_qubit_permutations_move_every_cut(n, seed, data):
+    support = data.draw(st.integers(1, 2**n))
+    _check_local_unitary_and_permutation_invariance(n, seed, support)
+
+
+def test_invariance_on_the_strided_route():
+    # 13 qubits hold more one-qubit-cut amplitudes than GATHER_LIMIT.
+    assert 13 * 2**13 > linops.GATHER_LIMIT
+    _check_local_unitary_and_permutation_invariance(13, 13, 2**13)
+    _check_local_unitary_and_permutation_invariance(13, 31, 5)

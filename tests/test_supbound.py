@@ -259,7 +259,7 @@ def test_ghz_saturation_experiment_examples():
         assert report.lhs == pytest.approx(1.0, abs=1e-9)
         assert report.rhs == pytest.approx(1.0, abs=1e-9)
         assert report.saturated
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^GHZ states need at least 2 qubits, got 1$"):
         ghz_saturation_experiment(1)
 
 

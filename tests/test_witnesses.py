@@ -113,13 +113,16 @@ def test_ghz_witness_spectrum_and_class():
         assert w.cap_identity and w.class_bounds == (1.0, 1.0)
         partner = ghz(n, 0.7, orthogonal=True)
         assert eval_witness(w, partner) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^GHZ states need at least 2 qubits, got 1$"):
         ghz_witness(1)
 
 
 def test_witness_class_validation():
     reg = Register((2,))
     bad = np.diag([1.5, 0.0])
+    for bounds in ((-1.0, 0.0), (0.0, -1.0)):
+        with pytest.raises(WitnessClassError, match="must be nonnegative"):
+            Witness(HermOp(reg, np.zeros((2, 2))), class_bounds=bounds)
     with pytest.raises(WitnessClassError):
         Witness(HermOp(reg, bad), class_bounds=(1.0, 1.0))
     with pytest.raises(WitnessClassError):
@@ -192,6 +195,8 @@ def test_max_product_overlap_monotone_in_restarts():
     more = max_product_overlap(proj, ProductSearchConfig(restarts=12))
     assert more >= few - 1e-15
     assert more <= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="^need at least one restart$"):
+        ProductSearchConfig(restarts=0)
 
 
 def test_max_product_overlap_rejects_non_projector():
