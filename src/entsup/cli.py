@@ -195,11 +195,7 @@ def cmd_ghz_saturation(args) -> tuple[dict, int]:
     try:
         report = supbound.ghz_saturation_experiment(args.n, args.phi)
     except SaturationFailureError as err:
-        results = {
-            "error": str(err),
-            "lower": err.lower,
-            "upper": err.upper,
-        }
+        results = {"error": str(err), "lower": err.lower, "upper": err.upper}
         return _run_report("ghz-saturation", config, results), EXIT_SATURATION
     except BoundViolationError as err:
         results = {"error": str(err), "instance": err.instance}

@@ -63,7 +63,7 @@ def default_tolerance(dim: int) -> float:
 class SolverFailureError(RuntimeError):
     """The solver stopped without a certified optimum."""
 
-    def __init__(self, message, best_value=None):
+    def __init__(self, message: str, best_value: float):
         super().__init__(message)
         self.best_value = best_value
 

@@ -21,7 +21,7 @@ from .qstate import (
     qubit_register,
     superpose,
 )
-from .quantifiers import QuantifierConfig, rg_upper_pure
+from .quantifiers import QuantifierConfig, l1_bound
 from .witnesses import (
     DEFAULT_SEED,
     REFLECTION_CLASS,
@@ -55,18 +55,17 @@ class BoundViolationError(RuntimeError):
     bug; the offending instance rides along for reproduction.
     """
 
-    def __init__(self, message: str, instance: dict | None = None):
+    def __init__(self, message: str, instance: dict):
         super().__init__(message)
-        self.instance = instance or {}
+        self.instance = instance
 
 
 class SaturationFailureError(RuntimeError):
     """The GHZ saturation experiment failed; both robustness bounds attached."""
 
-    def __init__(self, message: str, lower: float | None = None, upper=None):
+    def __init__(self, message: str, lower: float, upper: float):
         super().__init__(message)
-        self.lower = lower
-        self.upper = upper
+        self.lower, self.upper = lower, upper
 
 
 @dataclass(frozen=True)
@@ -159,22 +158,22 @@ def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
 
     The superposition of |0...0> and |1...1> with balanced coefficients is the
     GHZ state; its robustness is pinned by the witness lower bound against the
-    certified l1 upper bound (both 1), the branch terms vanish because the
-    branches are basis kets (built only for a violation's payload), and the
-    class constant is 1, so the bound holds with equality. The witness is the
-    reflection I - 2|GHZ><GHZ| of :func:`entsup.witnesses.ghz_witness`, evaluated
-    on the ket and classed by its known spectrum; no 2^n x 2^n matrix is built.
+    l1 upper bound (both 1), the branch terms vanish because the branches are
+    basis kets (built only for a violation's payload), and the class constant
+    is 1, so the bound holds with equality. The upper bound is certified in the
+    computational basis, where it reads (|a| + |b|)^2 - 1 = 2|a||b|
+    (:func:`entsup.quantifiers.l1_bound`); every site's reduced density is
+    diagonal there, so no basis search is run. The witness is the reflection
+    I - 2|GHZ><GHZ| of :func:`entsup.witnesses.ghz_witness`, evaluated on the
+    ket and classed by its known spectrum; no 2^n x 2^n matrix is built.
     """
     coeffs = SuperposCoeffs(1 / math.sqrt(2), cmath.exp(1j * phi) / math.sqrt(2))
-
     gamma = ghz(n, phi)
     lower = max(0.0, -reflection_expectation(gamma.amplitudes, gamma))
-    upper, _ = rg_upper_pure(gamma)
+    upper = l1_bound(gamma.amplitudes)
     if abs(upper - lower) > SATURATION_TOL:
         raise SaturationFailureError(
-            f"robustness bounds do not meet: lower {lower!r}, upper {upper!r}",
-            lower=lower,
-            upper=upper,
+            f"robustness bounds do not meet: lower {lower!r}, upper {upper!r}", lower, upper
         )
 
     register, k = gamma.register, max(REFLECTION_CLASS)
@@ -189,9 +188,7 @@ def ghz_saturation_experiment(n: int, phi: float = 0.0) -> BoundReport:
     )
     if not report.saturated:
         raise SaturationFailureError(
-            f"saturation gap {report.gap!r} exceeds {SATURATION_TOL}",
-            lower=lower,
-            upper=upper,
+            f"saturation gap {report.gap!r} exceeds {SATURATION_TOL}", lower, upper
         )
     return report
 

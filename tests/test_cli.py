@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entsup
-from entsup import linops, sdpcore
+from entsup import linops, quantifiers, sdpcore
 from entsup.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -189,7 +189,7 @@ def test_ghz_saturation_violation_exit_code(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "name, value",
     [
-        ("rg_upper_pure", lambda ket: (2.0, "l1-local")),  # the bounds do not meet
+        ("l1_bound", lambda amplitudes: 2.0),  # the bounds do not meet
         ("REFLECTION_CLASS", (2.0, 2.0)),  # the cross term doubles: not saturated
     ],
 )
@@ -202,7 +202,7 @@ def test_ghz_saturation_failure_exit_code(monkeypatch, capsys, name, value):
     results = report["results"]
     assert set(results) == {"error", "lower", "upper"}
     assert results["lower"] == pytest.approx(1.0, abs=1e-12)
-    assert results["upper"] == (2.0 if name == "rg_upper_pure" else pytest.approx(1.0, abs=1e-12))
+    assert results["upper"] == (2.0 if name == "l1_bound" else pytest.approx(1.0, abs=1e-12))
 
 
 def test_ghz_saturation_usage_error(capsys):
@@ -344,6 +344,15 @@ def test_importing_the_cli_builds_no_parser_and_loads_no_numpy_random():
     assert done.stdout.split(" ", 1) == [
         "False", "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n"
     ]
+
+
+def test_importing_entsup_loads_no_scipy():
+    # numpy is the one runtime dependency in pyproject.toml; scipy may be installed
+    # alongside it, and an import of it would go unnoticed everywhere else.
+    probe = "import sys, entsup, entsup.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    done = in_new_interpreter("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_sweep_csv_is_streamed(tmp_path):
@@ -879,11 +888,21 @@ def test_quantify_negativity_at_fourteen_qubits(tmp_path, capsys):
     assert values == pytest.approx(oracle, abs=1e-12)
 
 
-def test_ghz_saturation_at_fourteen_qubits(capsys):
-    code, peak = traced_peak(lambda: main(["ghz-saturation", "--n", "14"]))
+@pytest.mark.parametrize("n, peak_limit", [(14, 64 * 2**20), (20, 3 * 16 * 2**20)], ids=["14", "20"])
+def test_ghz_saturation_at_scale(monkeypatch, capsys, n, peak_limit):
+    # README advertises --n up to 20, whose ket takes 16 MiB. The l1 upper bound is
+    # read in the computational basis, so neither the per-site basis search nor any
+    # other eigensolve runs.
+    def no_search(psi):
+        raise AssertionError("ghz-saturation ran the basis search")
+
+    monkeypatch.setattr(quantifiers, "rg_upper_pure", no_search)
+    solves = count_solves(monkeypatch)
+    code, peak = traced_peak(lambda: main(["ghz-saturation", "--n", str(n)]))
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
-    assert peak < 64 * 2**20, peak
+    assert peak < peak_limit, peak
+    assert solves == []
     body = report["results"]["report"]
     assert body["saturated"] is True and body["lhs"] == pytest.approx(1.0, abs=1e-12)
 

@@ -28,6 +28,7 @@ from entsup.qstate import (
 from entsup.quantifiers import (
     DIAGONAL_TOL,
     RobustnessBounds,
+    l1_bound,
     mix,
     negativity,
     ppt_check,
@@ -323,11 +324,13 @@ def test_rg_upper_pure_is_exact_on_two_qubits(rng):
 
 
 def test_rg_upper_pure_special_cases():
-    for n in (2, 3, 10):
-        for phi in (0.0, 0.7, math.pi):
-            upper, basis = rg_upper_pure(ghz(n, phi))
-            assert upper == pytest.approx(1.0, abs=1e-15)
-            assert basis == "l1-computational"  # ties keep the computational basis
+    # Every site's reduced density of a GHZ state is diagonal, so the search keeps the
+    # computational basis (on a tie) and returns its closed form bit for bit.
+    for n in range(2, 17):
+        for phi in [k * math.pi / 8 for k in range(16)] + [0.3, 0.7, 5.9]:
+            gamma = ghz(n, phi)
+            assert rg_upper_pure(gamma) == (l1_bound(gamma.amplitudes), "l1-computational")
+            assert l1_bound(gamma.amplitudes) == pytest.approx(1.0, abs=1e-15)
     assert rg_upper_pure(basis_ket(qubit_register(3), (0, 1, 1))) == (0.0, "l1-computational")
     unnormalised = Ket(qubit_register(2), 3.0 * ghz(2, 0.0).amplitudes)
     assert rg_upper_pure(unnormalised)[0] == pytest.approx(1.0, abs=1e-15)
