@@ -103,9 +103,14 @@ def parse_state_document(doc: dict, where: str = "<state>") -> Ket:
 
 
 def _amplitude(pair, where: str, pos: int) -> complex:
-    """One [re, im] entry as a finite complex number; errors name its position."""
+    """An [re, im] list or tuple of two real, non-bool numbers as a finite complex number."""
     try:
-        re, im = pair
+        re, im = pair if isinstance(pair, (list, tuple)) else ()
+        # An entry of two floats, as JSON writes them, skips the slower full check.
+        if not (type(re) is float is type(im)) and not all(
+            isinstance(x, (int, float)) and type(x) is not bool for x in (re, im)
+        ):
+            raise TypeError("not a pair of real numbers")
         value = complex(float(re), float(im))
         if not cmath.isfinite(value):
             raise ValueError("not finite")
@@ -219,9 +224,8 @@ def cmd_sweep(args) -> tuple[dict, int]:
         results = {"error": str(err), "instance": err.instance}
         cfg = supbound.sweep_config(config, args.qubits)
         return _run_report("sweep", cfg, results, seed=args.seed), EXIT_VIOLATION
-    summary = supbound.summarize_sweep(config, args.qubits, args.samples, args.seed, gaps)
+    summary = supbound.summarize_sweep(config, args.qubits, args.samples, gaps)
     results = dataclasses.asdict(summary)
-    del results["seed"]  # the report carries it at the top level
     return _run_report("sweep", summary.config, results, seed=args.seed), EXIT_OK
 
 

@@ -11,9 +11,8 @@ import numpy as np
 from .qstate import Ket, Register
 
 HERMITICITY_TOL = 1e-10
-# Eigenvalues within +/- this of zero never enter the negative subspace,
-# so exact structural zeros (e.g. GHZ partial transposes) stay out of it.
-NEG_EIGENSPACE_TOL = 1e-9
+# An eigenvalue below -PSD_TOL is negative: it fails the PPT flag and enters the
+# negative subspace, so exact structural zeros (e.g. GHZ partial transposes) stay out of it.
 PSD_TOL = 1e-9
 DENSITY_TOL = 1e-9
 
@@ -127,9 +126,9 @@ def check_density(state: HermOp | Ket) -> None:
 
 
 def neg_eigenspace_projector(op: HermOp) -> HermOp:
-    """Projector onto the span of eigenvectors with eigenvalue < -NEG_EIGENSPACE_TOL."""
+    """Projector onto the span of eigenvectors with eigenvalue < -PSD_TOL."""
     w, v = np.linalg.eigh(op.matrix)
-    cols = v[:, w < -NEG_EIGENSPACE_TOL]
+    cols = v[:, w < -PSD_TOL]
     return HermOp(op.register, cols @ cols.conj().T)
 
 

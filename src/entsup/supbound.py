@@ -12,6 +12,7 @@ import numpy as np
 from . import linops, quantifiers
 from .linops import Partition
 from .qstate import (
+    VANISHING_NORM_SQ,
     Ket,
     RegisterMismatchError,
     SuperposCoeffs,
@@ -40,8 +41,6 @@ VIOLATION_TOL = 1e-8
 MAX_SWEEP_ROWS = 10**6
 # A sweep block stacks at most this many amplitudes per branch, and one sample at least.
 SWEEP_BLOCK_AMPLITUDES = 2**16
-# A superposition gamma whose squared norm falls below this counts as vanishing.
-VANISHING_NORM_SQ = 1e-12
 # PCG64's multiplier; numpy's SeedSequence hash constants for 16 pool and 8 seed words.
 _PCG64_MULT, _MASK32, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**32 - 1, 2**128 - 1
 _MIX_CONSTANTS, _STATE_CONSTANTS = (np.array([c * m**k % 2**32 for k in range(n)], np.uint64)
@@ -89,7 +88,6 @@ class SweepSummary:
     min_gap: float
     mean_gap: float
     violations: int
-    seed: int
     config: dict
 
 
@@ -208,15 +206,11 @@ def random_sweep(
     their gap columns.
     """
     gaps = [block.gap for block in sweep_blocks(config, qubits, samples, seed)]
-    return summarize_sweep(config, qubits, samples, seed, gaps)
+    return summarize_sweep(config, qubits, samples, gaps)
 
 
 def summarize_sweep(
-    config: QuantifierConfig,
-    qubits: int,
-    samples: int,
-    seed: int,
-    gaps: list[np.ndarray],
+    config: QuantifierConfig, qubits: int, samples: int, gaps: list[np.ndarray]
 ) -> SweepSummary:
     """The summary of a finished sweep, from the gap columns of its blocks."""
     gap = np.concatenate(gaps)
@@ -225,7 +219,6 @@ def summarize_sweep(
         min_gap=float(gap.min()),
         mean_gap=float(gap.mean()),
         violations=0,
-        seed=seed,
         config=sweep_config(config, qubits),
     )
 
@@ -252,10 +245,7 @@ class SweepColumns(NamedTuple):
 
 
 def sweep_blocks(
-    config: QuantifierConfig,
-    qubits: int,
-    samples: int,
-    seed: int = DEFAULT_SEED,
+    config: QuantifierConfig, qubits: int, samples: int, seed: int
 ) -> Iterator[SweepColumns]:
     """The rows of :func:`random_sweep`, a block of samples at a time.
 

@@ -149,7 +149,7 @@ def negativity_witness_values(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     With psi = sum_i s_i |a_i b_i>, the negative eigenvectors of |psi><psi|^{T_A}
     are (|a_j* b_i> - |a_i* b_j>)/sqrt(2), eigenvalue -s_i s_j, over the pairs
-    E = {i < j : s_i s_j > NEG_EIGENSPACE_TOL}; so the value is sum_E s_i s_j.
+    E = {i < j : s_i s_j > PSD_TOL}; so the value is sum_E s_i s_j.
     W, their projector partially transposed, is 1/2 on each |a_j b_i> and
     |a_i b_j> of E and -A/2 on span{|a_i b_i>}, with A the 0/1 adjacency
     matrix of E, so ||W|| = lambda_max(A)/2: one batched eigensolve of r x r
@@ -159,7 +159,7 @@ def negativity_witness_values(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is 1, so no eigensolve runs.
     """
     products = s[..., :, None] * s[..., None, :]
-    edges = np.triu(products > linops.NEG_EIGENSPACE_TOL, 1)
+    edges = np.triu(products > linops.PSD_TOL, 1)
     value = np.sum(products, axis=(-2, -1), where=edges)
     # s is nonincreasing, so E lives on vertices 0..r-1 and each of them meets vertex 0.
     r = int(np.count_nonzero(edges[..., 0, :], axis=-1).max(initial=0)) + 1

@@ -5,16 +5,18 @@ PPT-relaxed robustness program at a given mixing weight is decided by plain
 alternating projections onto the constraint cones, and the optimum is then
 bracketed by bisection on the weight. The partial transpose is realized
 through explicit digit arithmetic rather than the library's axis swaps.
-The dense constructors at the end (tensor products, Schmidt vectors by SVD and
-the cut witness as a d x d matrix) check the library's closed forms, and the two
-dense bound reports check the superposition bounds against them.
+The dense constructors (tensor products, Schmidt vectors by SVD and the cut
+witness as a d x d matrix) check the library's closed forms, and the two dense
+bound reports check the superposition bounds against them. The exact deck at
+the end builds multi-qubit states whose generalized robustness is known in
+closed form: products of pair and GHZ blocks, and graph states.
 """
 
 import math
 
 import numpy as np
 
-from entsup.linops import operator_norm, single_cut_partitions
+from entsup.linops import Partition, operator_norm, single_cut_partitions
 from entsup.qstate import Ket, Register, density, superpose
 from entsup.quantifiers import negativity
 from entsup.supbound import SATURATION_TOL, BoundReport, check_bound_k
@@ -296,3 +298,90 @@ def dense_robustness_report(psi, phi, coeffs):
         e_hat, w = best(gamma.normalized())
         e_gamma = norm * e_hat
     return check_bound_k(psi, phi, coeffs, w, best(psi)[0], best(phi)[0], e_gamma)
+
+
+def haar_unitary(rng, d):
+    """Haar-random d x d unitary: QR of a complex Gaussian, phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def block_product(blocks, rng):
+    """A product of pair and GHZ blocks in a random local frame and qubit order.
+
+    ``blocks`` lists a Schmidt pair (s_1, s_2), s_1^2 + s_2^2 = 1, for each
+    two-qubit block s_1|00> + s_2|11>, and a qubit count m >= 2 for each GHZ_m
+    block. Returns the amplitudes, the truth R_g = prod_m (1 + R_m) - 1, with
+    R_m = (s_1 + s_2)^2 - 1 for a pair and 1 for a GHZ block, and the deciding
+    cut: the first qubit of each block. Its Schmidt coefficients are the
+    products of the blocks', so the cut's bound (sum_i s_i)^2 - 1 meets the
+    separable upper bound built from the blocks' own optimal ones. Local
+    unitaries and qubit permutations leave R_g unchanged.
+    """
+    amps, truth, cut, n = np.ones(1, dtype=complex), 1.0, [], 0
+    for block in blocks:
+        if isinstance(block, int):
+            factor = np.zeros(2**block, dtype=complex)
+            factor[[0, -1]] = 1 / math.sqrt(2)
+            truth, size = 2 * truth, block
+        else:
+            factor = np.array([block[0], 0, 0, block[1]], dtype=complex)
+            truth, size = truth * (block[0] + block[1]) ** 2, 2
+        amps, cut, n = np.kron(amps, factor), cut + [n], n + size
+    amps, perm = local_frame(amps, n, rng)
+    return amps, truth - 1.0, Partition(frozenset(j for j in range(n) if perm[j] in cut))
+
+
+def local_frame(amps, n, rng):
+    """n-qubit amplitudes after a Haar-random unitary on each qubit and a random qubit order.
+
+    Returns the amplitudes and the permutation: qubit j of the result is qubit
+    perm[j] of the input.
+    """
+    local = np.asarray(amps, dtype=complex).reshape((2,) * n)
+    for q in range(n):
+        local = np.moveaxis(np.tensordot(haar_unitary(rng, 2), local, axes=([1], [q])), 0, q)
+    perm = rng.permutation(n)
+    return local.transpose(perm).reshape(-1), perm
+
+
+def graph_state(n, edges):
+    """Real amplitudes of prod over (i, j) in ``edges`` of CZ_ij applied to |+>^n.
+
+    The amplitude of |x> is (-1)^(number of edges with x_i = x_j = 1) / 2^(n/2),
+    qubit 0 the most significant bit.
+    """
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    parity = sum(bits[:, i] & bits[:, j] for i, j in edges) & 1
+    return (1.0 - 2.0 * parity) / 2 ** (n / 2)
+
+
+def graph_deck():
+    """(name, n, edges, truth, deciding cut) of graph states whose R_g is known exactly.
+
+    A cut of a graph state has 2^r equal Schmidt coefficients, r the GF(2) rank
+    of the cut's adjacency block (Hein, Eisert & Briegel, PRA 69, 062311, 2004),
+    so R_g >= 2^r - 1. A Hadamard on each qubit of an independent set I leaves
+    2^(n - |I|) equal-modulus amplitudes, so l1 gives R_g <= 2^(n - |I|) - 1.
+    Each state here has a cut with r = n - |I| for a maximum independent set I:
+    lines (the even against the odd qubits), even rings (qubit 0 and the odd
+    qubits up to n - 3, whose cut block is triangular), the 2 x 3 grid (its
+    checkerboard colouring) and a star, which is GHZ in a local frame (its centre).
+    """
+    deck = [
+        (f"line-{n}", n, [(i, i + 1) for i in range(n - 1)], 2 ** (n // 2) - 1.0, range(0, n, 2))
+        for n in range(3, 17)
+    ]
+    deck += [
+        (
+            f"ring-{n}", n, [(i, (i + 1) % n) for i in range(n)], 2 ** (n // 2) - 1.0,
+            [0, *range(1, n - 2, 2)],
+        )
+        for n in range(4, 17, 2)
+    ]
+    grid = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
+    deck += [
+        ("grid-2x3", 6, grid, 7.0, [0, 2, 4]),
+        ("star-5", 5, [(0, k) for k in range(1, 5)], 1.0, [0]),
+    ]
+    return [(*state, Partition(frozenset(cut))) for *state, cut in deck]

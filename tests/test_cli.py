@@ -337,12 +337,16 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
 
 
 def test_importing_the_cli_builds_no_parser_and_loads_no_numpy_random():
-    # The CLI's import time is a benchmark metric; numpy.random loads on the first draw.
-    probe = "import sys, entsup.cli as c; print('numpy.random' in sys.modules, c._parser.cache_info())"
+    # The CLI's import time is a benchmark metric; numpy.random loads on the first draw,
+    # and the one-qubit cuts' gather index is built on the first read of a cut.
+    probe = (
+        "import sys, entsup.cli as c; print('numpy.random' in sys.modules, "
+        "c.linops._two_row_index.cache_info().currsize, c._parser.cache_info())"
+    )
     done = in_new_interpreter("-c", probe)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split(" ", 1) == [
-        "False", "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n"
+    assert done.stdout.split(" ", 2) == [
+        "False", "0", "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n"
     ]
 
 
@@ -592,6 +596,29 @@ def test_quantify_renormalizes_a_scaled_state(tmp_path, capsys):
             "amplitudes[1]: need basis and amp",
         ),
         (None, ["--partition", "a"], "bad partition 'a'"),
+        # An amplitude is a list of two real numbers: no string, bool, or other 2-iterable.
+        ({"dims": [2], "amplitudes": [[0.6, 0.0], "10"]}, [], "amplitudes[1]: need an [re, im]"),
+        ({"dims": [2], "amplitudes": [[True, False], [0.0, 0.0]]}, [], "amplitudes[0]: need"),
+        ({"dims": [2], "amplitudes": [["0.6", "0"], [0.8, 0.0]]}, [], "amplitudes[0]: need"),
+        ({"dims": [2], "amplitudes": [[0.6, 0.0], {"re": 0.8}]}, [], "amplitudes[1]: need"),
+        (
+            {"dims": [2], "amplitudes": [{"basis": "0", "amp": "10"}]},
+            [],
+            "amplitudes[0]: need an [re, im]",
+        ),
+        (
+            {
+                "dims": [2],
+                "amplitudes": [{"basis": "0", "amp": [0.6, 0]}, {"basis": "1", "amp": [0.8, False]}],
+            },
+            [],
+            "amplitudes[1]: need",
+        ),
+        (
+            {"dims": [2], "amplitudes": [{"basis": "1", "amp": ["0.8", 0]}]},
+            [],
+            "amplitudes[0]: need",
+        ),
     ],
 )
 def test_quantify_parse_errors_name_their_source(tmp_path, capsys, document, argv, message):

@@ -49,7 +49,7 @@ from entsup.witnesses import (
 )
 
 from conftest import cut_spectrum, loop_partial_transpose, random_pure_amplitudes, unit_kets
-from oracles import diagonal_mixing_scan, schmidt_decomposition, tensor
+from oracles import diagonal_mixing_scan, local_frame, schmidt_decomposition, tensor
 
 
 def two_qubit_pure(a, b):
@@ -517,12 +517,6 @@ def test_ket_profile_accepts_the_density_band():
             pt_profile(state, [part(0)])
 
 
-def _haar_unitary(rng, d):
-    """Haar-random d x d unitary: QR of a complex Gaussian, phases fixed by R's diagonal."""
-    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _check_local_unitary_and_permutation_invariance(n, seed, support):
     """A random local frame and qubit permutation move each single cut's negativity and
     PPT flag with the qubits, leave the witness lower bound alone, and keep upper >= lower."""
@@ -530,11 +524,8 @@ def _check_local_unitary_and_permutation_invariance(n, seed, support):
     amps = random_pure_amplitudes(rng, 2**n)
     amps[rng.permutation(2**n)[support:]] = 0.0  # low-rank and product cuts too
     ket = Ket(qubit_register(n), amps / np.linalg.norm(amps))
-    local = ket.amplitudes.reshape((2,) * n)
-    for q in range(n):
-        local = np.moveaxis(np.tensordot(_haar_unitary(rng, 2), local, axes=([1], [q])), 0, q)
-    perm = rng.permutation(n)  # qubit j of the new ket is qubit perm[j] of the old one
-    moved = Ket(ket.register, local.transpose(perm).reshape(-1))
+    amps, perm = local_frame(ket.amplitudes, n, rng)  # new qubit j is old qubit perm[j]
+    moved = Ket(ket.register, amps)
 
     cuts = single_cut_partitions(ket.register)
     before, after = pt_profile(ket, cuts), pt_profile(moved, cuts)

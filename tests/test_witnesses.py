@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entsup.linops import (
-    NEG_EIGENSPACE_TOL,
+    PSD_TOL,
     HermOp,
     Partition,
     operator_norm,
@@ -23,6 +23,7 @@ from entsup.qstate import (
     ghz,
     qubit_register,
 )
+from entsup.quantifiers import pt_profile
 from entsup.witnesses import (
     ProductSearchConfig,
     Witness,
@@ -46,7 +47,7 @@ from conftest import (
     random_pure_amplitudes,
     unit_kets,
 )
-from oracles import grid_product_overlap_2q, maxent_cut_witness
+from oracles import grid_product_overlap_2q, maxent_cut_witness, schmidt_decomposition
 
 
 def test_eval_witness_on_ghz_family():
@@ -268,7 +269,7 @@ def test_negativity_witness_expectation_matches_dense_chain(ket, data):
     s = cut_spectrum(ket, cut)
     products = np.outer(s, s)[np.triu_indices(s.size, 1)]
     # Within rounding of the threshold the two paths may disagree on E.
-    assume(not np.any(np.abs(products - NEG_EIGENSPACE_TOL) < 1e-12))
+    assume(not np.any(np.abs(products - PSD_TOL) < 1e-12))
     value, norm = negativity_witness_values(s)
     dense_value, dense_norm = _dense_negativity_witness(ket, cut)
     assert value == pytest.approx(dense_value, abs=1e-12)
@@ -295,6 +296,27 @@ def test_negativity_witness_expectation_examples(rng):
     assert (value, norm) == pytest.approx(_dense_negativity_witness(psi, part(0, 2)), abs=1e-12)
 
 
+@pytest.mark.parametrize("product", [5e-10, 2e-9])
+def test_ppt_flag_and_optimal_witness_read_one_threshold(product):
+    # cos t|00> + sin t|11> has s_1 s_2 = sin(2t)/2, here far from PSD_TOL in rounding
+    # terms. On the ket and the dense path alike, the PPT flag is set exactly when the
+    # witness pair set is empty and the optimal witness is the zero operator.
+    t = math.asin(2.0 * product) / 2.0
+    ket = Ket(qubit_register(2), [math.cos(t), 0.0, 0.0, math.sin(t)])
+    zero = not np.any(negativity_optimal_witness(density(ket), part(0)).op.matrix)
+    for state, s in (
+        (ket, cut_spectrum(ket, part(0))),
+        (density(ket), schmidt_decomposition(ket, part(0))[0]),
+    ):
+        [(_, ppt)] = pt_profile(state, [part(0)])
+        assert ppt is (product < PSD_TOL)
+        value, norm = negativity_witness_values(s)
+        assert bool(value == 0.0 and norm == 0.0) is ppt
+        assert zero is ppt
+        if not ppt:
+            assert value == pytest.approx(product, rel=1e-6) and norm == 0.5
+
+
 def test_one_edge_witness_norm_is_the_eigensolve_bit_for_bit(rng):
     # Two Schmidt coefficients give at most the edge {0, 1}, whose adjacency
     # [[0, 1], [1, 0]] has lambda_max exactly 1: the norm skips the eigensolve
@@ -306,7 +328,7 @@ def test_one_edge_witness_norm_is_the_eigensolve_bit_for_bit(rng):
     s[10:20] = 0.0
     s[20:30, :, 1] = 1e-10
     value, norm = negativity_witness_values(s)
-    edge = (s[..., 0] * s[..., 1] > NEG_EIGENSPACE_TOL).astype(float)
+    edge = (s[..., 0] * s[..., 1] > PSD_TOL).astype(float)
     adjacency = np.stack([np.zeros_like(edge), edge, edge, np.zeros_like(edge)], -1).reshape(50, 3, 2, 2)
     assert np.array_equal(norm, 0.5 * np.linalg.eigvalsh(adjacency)[..., -1])
     assert np.array_equal(value, np.where(edge > 0, s[..., 0] * s[..., 1], 0.0))
