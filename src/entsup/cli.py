@@ -70,12 +70,16 @@ def parse_state_document(doc: dict, where: str = "<state>") -> Ket:
         seen: dict[int, int] = {}
         for pos, entry in enumerate(entries):
             try:
-                basis = str(entry["basis"])
+                basis = entry["basis"]
                 pair = entry["amp"]
             except (KeyError, TypeError) as err:
                 raise StateFileError(
                     f"{where}: amplitudes[{pos}]: need basis and amp [re, im]"
                 ) from err
+            if not isinstance(basis, str):
+                raise StateFileError(
+                    f"{where}: amplitudes[{pos}]: basis must be a string of digits, got {basis!r}"
+                )
             try:
                 flat = basis_index(register, [int(digit) for digit in basis])
             except ValueError as err:
@@ -165,11 +169,7 @@ def cmd_quantify(args) -> tuple[dict, int]:
         ]
 
     if args.quantifier in ("robustness", "all"):
-        robustness: dict = {}
-        robustness["lower"], robustness["lower_witness_cut"] = quantifiers.rg_lower_pure(ket)
-        robustness["upper"], basis = quantifiers.rg_upper_pure(ket)
-        robustness["upper_certified"] = True
-        robustness["upper_candidate"] = basis
+        robustness = _pure_bounds(ket)
         try:
             robustness["ppt_sdp"] = quantifiers.rg_ppt_sdp(ket, parts, tol=tol)
         except sdpcore.SolverFailureError as err:
@@ -189,6 +189,29 @@ def cmd_quantify(args) -> tuple[dict, int]:
         "renormalized_input": renormalized_input,
     }
     return _run_report("quantify", config, results), exit_code
+
+
+def _pure_bounds(ket: Ket) -> dict:
+    """The report's witness lower and l1 upper robustness bounds of a ket.
+
+    On two qubits both bounds are (sum_i s_i)^2 - 1 and only rounding tells
+    them apart, so ``upper`` may come out a few ulps below ``lower``. Raising
+    an upper bound keeps it sound, so an excess of at most 4 eps max(1, lower)
+    lifts ``upper`` to ``lower``; a larger one is an internal fault.
+    """
+    lower, cut = quantifiers.rg_lower_pure(ket)
+    upper, basis = quantifiers.rg_upper_pure(ket)
+    if upper < lower:
+        if lower - upper > 4 * sys.float_info.epsilon * max(1.0, lower):
+            raise RuntimeError(f"robustness upper bound {upper!r} below lower bound {lower!r}")
+        upper = lower
+    return {
+        "lower": lower,
+        "lower_witness_cut": cut,
+        "upper": upper,
+        "upper_certified": True,
+        "upper_candidate": basis,
+    }
 
 
 def cmd_ghz_saturation(args) -> tuple[dict, int]:

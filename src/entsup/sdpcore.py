@@ -30,6 +30,11 @@ by rescaling the clipped negative parts of the projections (the scale is
 stops when the true primal-dual gap between those two drops below the
 tolerance. ``check_certificate`` re-verifies both facts from scratch. Any
 iterate gives both points, so acceleration cannot certify a wrong value.
+A check reads the iterate without changing it, so where the checks fall
+(``CHECK_EVERY``) decides only at which iteration a solve stops.
+
+A real rho makes a real program, solved in real arithmetic: the offsets
+are then float64, and the iterates and both certificate points with them.
 """
 
 from __future__ import annotations
@@ -47,7 +52,11 @@ FEASIBILITY_TOL = 1e-7
 # Largest variable dimension. One solve of a random pure state, all single cuts, took
 # 0.8-2.0 s at d = 32, 4.7-6.0 s at d = 64 and 28-44 s at d = 128 on a 2-vCPU machine.
 MAX_DIMENSION = 64
-CHECK_EVERY = 25
+# Least spacing of certificate checks. Iteration i is checked once i - (last check) >=
+# max(CHECK_EVERY, isqrt(last check)), and always at MAX_ITERATIONS: a short solve stops
+# within 8 iterations of its first certifiable point, and a check, which costs less than
+# an iteration, stays a shrinking share of a long one (123 checks over 4 096 iterations).
+CHECK_EVERY = 8
 ANDERSON_MEMORY = 30  # steps of the ADMM map that Anderson acceleration extrapolates over
 # Iteration budget of one solve; a solve that spends it stops with status "max_iter".
 # At 7.4-9.2 ms per d = 64 iteration (2-vCPU machine) it lasts at most about 55 s; the
@@ -121,8 +130,11 @@ def build_robustness_sdp(state: HermOp | Ket, partitions: Sequence[Partition]) -
     dims = state.register.dims
     transposed = ((),) + tuple(tuple(sorted(p.transposed)) for p in partitions)
     k = len(transposed)
-    offsets = np.zeros((k, d, d), dtype=np.complex128)
-    offsets[1:] = (density(state) if isinstance(state, Ket) else state).matrix
+    rho = (density(state) if isinstance(state, Ket) else state).matrix
+    if not rho.imag.any():  # a real program: the partial transpose commutes with conjugation
+        rho = rho.real
+    offsets = np.zeros((k, d, d), dtype=rho.dtype)
+    offsets[1:] = rho
     entries = np.arange(d * d).reshape(d, d)
     gather = np.stack(
         [_transpose_subsystems(entries, dims, t) + i * d * d for i, t in enumerate(transposed)]
@@ -141,11 +153,11 @@ def solve(problem: SdpProblem, tol: float) -> SdpSolution:
     k, d = problem.offsets.shape[:2]
     negativities = np.clip(-np.linalg.eigvalsh(problem.cones(0.0)), 0.0, None).sum(axis=1)
     step = min(1.0, max(tol, 2.0 * float(negativities.max())))
-    pull = step * np.eye(d, dtype=np.complex128) / k  # objective pull: Tr(X) = Tr(I X)
+    pull = step * np.eye(d, dtype=problem.offsets.dtype) / k  # objective pull: Tr(X) = Tr(I X)
 
     # The state is z_i = x - dual_i, viewed as one flat real vector like its
     # image F(z); the ring holds the last changes of F(z) and of g = F(z) - z.
-    state = np.zeros((k, d, d), dtype=np.complex128)
+    state = np.zeros_like(problem.offsets)
     image = np.empty_like(state)
     s, f = state.reshape(-1).view(np.float64), image.reshape(-1).view(np.float64)
     diffs = np.empty((2, ANDERSON_MEMORY, s.size))
@@ -154,18 +166,23 @@ def solve(problem: SdpProblem, tol: float) -> SdpSolution:
     fill, m, came_from = 0, 0, math.inf  # came_from: ||g||^2 where s was extrapolated from
     best = None
 
-    iterations = 0
+    iterations = checked = 0  # checked: the iteration of the last certificate check
     while iterations < MAX_ITERATIONS:
         iterations += 1
         w, v = np.linalg.eigh(problem.cones(state))
-        slots = problem.transpose(_scaled_outer(v, np.clip(w, 0.0, None)))
+        slots = problem.transpose(_scaled_outer(v, np.maximum(w, 0.0)))
         slots -= problem.offsets
-        x = slots.mean(axis=0)
-        x = 0.5 * (x + x.conj().T)
-        np.add(state - slots, 2.0 * x - state.mean(axis=0) - pull, out=image)
+        x = np.add.reduce(slots, axis=0) / k
+        x += x.conj().T
+        x *= 0.5
+        np.subtract(state, slots, out=image)
+        image += 2.0 * x - np.add.reduce(state, axis=0) / k - pull
 
-        if iterations % CHECK_EVERY == 0 or iterations == MAX_ITERATIONS:
-            neg = _scaled_outer(v, np.clip(-w, 0.0, None) / step)
+        if iterations - checked >= max(CHECK_EVERY, math.isqrt(checked)) or (
+            iterations == MAX_ITERATIONS
+        ):
+            checked = iterations
+            neg = _scaled_outer(v, np.maximum(-w, 0.0) / step)
             primal, dual, x_feas, z = _certificate_attempt(problem, x, neg)
             gap = primal - dual
             if gap <= tol:
@@ -190,9 +207,13 @@ def solve(problem: SdpProblem, tol: float) -> SdpSolution:
         last_f[:], last_g[:] = f, g
         # Type-II Anderson: s = F(s) - dF gamma, with gamma minimising ||g - dG gamma||;
         # with no changes yet (m = 0) it is the plain step s = F(s).
-        normal = gram[:m, :m] + (1e-10 * np.trace(gram[:m, :m]) + 1e-300) * np.eye(m)
-        gamma = np.linalg.solve(normal, diffs[1, :m] @ g)
-        np.subtract(f, gamma @ diffs[0, :m], out=s)
+        if m:
+            normal = gram[:m, :m].copy()
+            normal.flat[:: m + 1] += 1e-10 * np.trace(normal) + 1e-300
+            gamma = np.linalg.solve(normal, diffs[1, :m] @ g)
+            np.subtract(f, gamma @ diffs[0, :m], out=s)
+        else:
+            s[:] = f
         came_from = norm
 
     best.iterations = iterations

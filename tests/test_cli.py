@@ -23,6 +23,7 @@ from entsup.cli import (
     EXIT_SOLVER,
     StateFileError,
     _consume_sweep,
+    _pure_bounds,
     load_state_file,
     main,
     parse_state_document,
@@ -619,6 +620,20 @@ def test_quantify_renormalizes_a_scaled_state(tmp_path, capsys):
             [],
             "amplitudes[0]: need",
         ),
+        # A basis label is a JSON string: the number 11 does not read as |11>.
+        (
+            {
+                "dims": [2, 2],
+                "amplitudes": [{"basis": "00", "amp": [0.6, 0]}, {"basis": 11, "amp": [1, 0]}],
+            },
+            [],
+            "amplitudes[1]: basis must be a string of digits, got 11",
+        ),
+        (
+            {"dims": [2], "amplitudes": [{"basis": ["1"], "amp": [1, 0]}]},
+            [],
+            "amplitudes[0]: basis must be a string",
+        ),
     ],
 )
 def test_quantify_parse_errors_name_their_source(tmp_path, capsys, document, argv, message):
@@ -838,6 +853,30 @@ def test_quantify_random_state_has_certified_upper(tmp_path, capsys, rng):
     assert math.isfinite(rob["upper"]) and rob["upper_certified"] is True
     assert rob["upper_candidate"] in ("l1-computational", "l1-local")
     assert rob["lower"] <= rob["ppt_sdp"] + 1e-6 <= rob["upper"] + 2e-6
+
+
+def test_two_qubit_upper_never_prints_below_lower():
+    # On two qubits lower and upper are both (s_1 + s_2)^2 - 1 and differ by
+    # rounding only: the library's upper came out below its lower on 76 of these
+    # 667 kets, by up to 4 eps max(1, lower). The report lifts it to lower.
+    gen = np.random.default_rng(0)
+    lifted = 0
+    for _ in range(667):
+        v = gen.standard_normal(4) + 1j * gen.standard_normal(4)
+        ket = Ket(qubit_register(2), v / np.linalg.norm(v))
+        bounds = _pure_bounds(ket)
+        assert bounds["lower"] <= bounds["upper"]
+        lifted += bounds["upper"] == bounds["lower"] > quantifiers.rg_upper_pure(ket)[0]
+    assert lifted == 76
+
+
+def test_an_upper_bound_far_below_lower_is_an_internal_fault(tmp_path, monkeypatch):
+    import entsup.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.quantifiers, "rg_upper_pure", lambda ket: (0.5, "l1-local"))
+    path = write_state(tmp_path, "ghz3.json", ghz(3, 0.0))
+    with pytest.raises(RuntimeError, match="upper bound 0.5 below lower bound"):
+        main(["quantify", path, "--quantifier", "robustness"])
 
 
 def test_single_subsystem_register_is_an_input_error(tmp_path, capsys, monkeypatch):

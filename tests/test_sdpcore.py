@@ -1,5 +1,6 @@
 """The dense SDP kernel against an independent bisection-feasibility oracle."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from entsup.qstate import Ket, Register, basis_ket, density, ghz, qubit_register
 from entsup.sdpcore import (
     CHECK_EVERY,
     MAX_DIMENSION,
+    SdpProblem,
     SdpSolution,
     build_robustness_sdp,
     check_certificate,
@@ -20,7 +22,21 @@ from entsup.sdpcore import (
 )
 
 from conftest import loop_partial_transpose, random_density_matrix, random_pure_amplitudes
-from oracles import robustness_by_bisection
+from oracles import graph_state, robustness_by_bisection
+
+
+def check_iterations(iterations, budget):
+    """The iterations at which a solve of ``iterations`` checks its certificate.
+
+    Iteration i is checked once i - (last check) >= max(CHECK_EVERY, isqrt(last
+    check)), and the budget's last iteration always is.
+    """
+    checks, last = [], 0
+    for i in range(1, iterations + 1):
+        if i - last >= max(CHECK_EVERY, math.isqrt(last)) or i == budget:
+            checks.append(i)
+            last = i
+    return checks
 
 
 def bell_problem():
@@ -171,6 +187,28 @@ def test_max_iter_status(monkeypatch):
     assert solution.dual_value <= solution.primal_value + 1e-8
 
 
+def test_a_budget_stop_checks_its_last_iteration_off_the_schedule(monkeypatch):
+    # Iteration 30 is off the schedule (8, 16, 24, 32, ...), yet a budget of 30
+    # checks it: four checks of two eigvalsh calls each, after the step's one.
+    problem = random3_problem()
+    assert 30 not in check_iterations(40, budget=None)
+    assert check_iterations(30, budget=30) == [8, 16, 24, 30]
+    monkeypatch.setattr(sdpcore, "MAX_ITERATIONS", 30)
+    calls = []
+
+    def counted(a, *args, _solve=np.linalg.eigvalsh, **kwargs):
+        calls.append(a.shape)
+        return _solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    solution = solve(problem, tol=1e-12)
+    assert solution.status == "max_iter" and solution.iterations == 30
+    assert calls == [(4, 8, 8)] + [(4, 8, 8), (8, 8)] * 4
+    # The last check at 30 is the best one, since its gap is below the gap at 24.
+    monkeypatch.setattr(sdpcore, "MAX_ITERATIONS", 24)
+    assert solution.gap < solve(problem, tol=1e-12).gap
+
+
 def test_the_slowest_measured_solve_fits_the_budget():
     # A random 4-qubit ket over all single cuts needs about 4 100 iterations at
     # 1e-6, the most of any measured solve; MAX_ITERATIONS must leave it room.
@@ -232,9 +270,9 @@ def test_certificate_holds_on_random_states(n):
 
 
 def test_iteration_count_on_random_pure_states():
-    # The accelerated solver needs 850 iterations on these ten states. The
-    # plain ADMM with the step set from the cut negativities needed 2 925, and
-    # with residual balancing of the step 6 350.
+    # The accelerated solver needs 772 iterations on these ten states, and 850
+    # with a check every 25 iterations. The plain ADMM with the step set from
+    # the cut negativities needed 2 925, and with residual balancing of the step 6 350.
     total = 0
     for s in range(10):
         rng = np.random.default_rng([7, 3, s])
@@ -244,7 +282,27 @@ def test_iteration_count_on_random_pure_states():
         solution = solve(problem, tol=1e-6)
         assert solution.status == "optimal" and check_certificate(problem, solution, tol=1e-6)
         total += solution.iterations
-    assert total <= 1200
+    assert total <= 800
+
+
+def test_iterations_on_the_benchmark_quantify_states():
+    # The six random 3-qubit base states of perfbench's quantify workload
+    # (seed [0, 3, index]) and GHZ_3 and GHZ_4, all single cuts at 1e-6. A
+    # check every 25 iterations stopped them at 75, 75, 75, 100, 75, 75, 25
+    # and 25 (525 in all), though they are first certifiable at 52-93, 8 and 9.
+    kets = []
+    for index in range(6):
+        rng = np.random.default_rng([0, 3, index])
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        kets.append(Ket(qubit_register(3), v / np.linalg.norm(v)))
+    kets += [ghz(3, 1.0), ghz(4, 1.0)]
+    iterations = []
+    for ket in kets:
+        problem = build_robustness_sdp(ket, single_cut_partitions(ket.register))
+        solution = solve(problem, tol=1e-6)
+        assert solution.status == "optimal" and check_certificate(problem, solution, tol=1e-6)
+        iterations.append(solution.iterations)
+    assert iterations == [56, 56, 72, 97, 56, 56, 8, 16]
 
 
 def test_near_product_states_are_certified_quickly():
@@ -315,7 +373,9 @@ def test_one_batched_eigensolve_per_iteration(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     solution = solve(problem, tol=1e-6)
     assert solution.status == "optimal"
-    checks = -(-solution.iterations // CHECK_EVERY)
+    checks = check_iterations(solution.iterations, sdpcore.MAX_ITERATIONS)
+    assert checks[-1] == solution.iterations
+    checks = len(checks)
     assert calls["eigh"] == [(4, 8, 8)] * solution.iterations
     # The cones at X = 0 set the step; then, per certificate check, the stacked
     # cones of the lift and the dual scale.
@@ -324,6 +384,44 @@ def test_one_batched_eigensolve_per_iteration(monkeypatch):
     assert check_certificate(problem, solution, tol=1e-6)
     # The primal cones, the dual stack and its summed pull-back.
     assert calls["eigvalsh"] == [(4, 8, 8), (4, 8, 8), (8, 8)]
+
+
+def _pair(theta):
+    return np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)])
+
+
+# Kets with real densities: GHZ at phi = 0 and pi, Schmidt pairs and a product
+# of two, and the graph states of the 3- and 4-qubit line and the 4-qubit ring.
+REAL_KETS = {
+    **{f"ghz{n}{sign}": ghz(n, orthogonal=sign == "-") for n in (2, 3, 4) for sign in "+-"},
+    "pair-0.3": Ket(qubit_register(2), _pair(0.3)),
+    "pair-0.05": Ket(qubit_register(2), _pair(0.05)),
+    "pairs-0.2-0.7": Ket(qubit_register(4), np.kron(_pair(0.2), _pair(0.7))),
+    "line-3": Ket(qubit_register(3), graph_state(3, [(0, 1), (1, 2)])),
+    "line-4": Ket(qubit_register(4), graph_state(4, [(0, 1), (1, 2), (2, 3)])),
+    "ring-4": Ket(qubit_register(4), graph_state(4, [(0, 1), (1, 2), (2, 3), (3, 0)])),
+}
+
+
+@pytest.mark.parametrize("name", REAL_KETS)
+def test_a_real_state_solves_in_real_arithmetic(name):
+    ket = REAL_KETS[name]
+    problem = build_robustness_sdp(ket, single_cut_partitions(ket.register))
+    assert problem.offsets.dtype == np.float64
+    as_complex = SdpProblem(problem.offsets.astype(np.complex128), problem.gather)
+    real, full = solve(problem, tol=1e-6), solve(as_complex, tol=1e-6)
+    assert real.status == full.status == "optimal"
+    assert real.x_opt.dtype == real.dual_stack.dtype == np.float64
+    assert real.primal_value == pytest.approx(full.primal_value, abs=1e-6)
+    assert check_certificate(problem, real, tol=1e-6)
+    assert check_certificate(as_complex, real, tol=1e-6)
+
+
+def test_a_complex_state_keeps_complex_arithmetic():
+    # ghz(2, pi) carries an imaginary part of about 1e-16, so it stays complex.
+    for state in (ghz(2, math.pi), density(ghz(3, 0.4))):
+        problem = build_robustness_sdp(state, single_cut_partitions(state.register))
+        assert problem.offsets.dtype == np.complex128
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
