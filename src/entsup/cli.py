@@ -169,7 +169,16 @@ def cmd_quantify(args) -> tuple[dict, int]:
         ]
 
     if args.quantifier in ("robustness", "all"):
-        robustness = _pure_bounds(ket)
+        lower, cut = quantifiers.rg_lower_pure(ket)
+        upper, basis = quantifiers.rg_upper_pure(ket)
+        bounds = quantifiers.RobustnessBounds(lower, upper)
+        robustness = {
+            "lower": bounds.lower,
+            "lower_witness_cut": cut,
+            "upper": bounds.upper,
+            "upper_certified": bounds.certified_upper,
+            "upper_candidate": basis,
+        }
         try:
             robustness["ppt_sdp"] = quantifiers.rg_ppt_sdp(ket, parts, tol=tol)
         except sdpcore.SolverFailureError as err:
@@ -189,29 +198,6 @@ def cmd_quantify(args) -> tuple[dict, int]:
         "renormalized_input": renormalized_input,
     }
     return _run_report("quantify", config, results), exit_code
-
-
-def _pure_bounds(ket: Ket) -> dict:
-    """The report's witness lower and l1 upper robustness bounds of a ket.
-
-    On two qubits both bounds are (sum_i s_i)^2 - 1 and only rounding tells
-    them apart, so ``upper`` may come out a few ulps below ``lower``. Raising
-    an upper bound keeps it sound, so an excess of at most 4 eps max(1, lower)
-    lifts ``upper`` to ``lower``; a larger one is an internal fault.
-    """
-    lower, cut = quantifiers.rg_lower_pure(ket)
-    upper, basis = quantifiers.rg_upper_pure(ket)
-    if upper < lower:
-        if lower - upper > 4 * sys.float_info.epsilon * max(1.0, lower):
-            raise RuntimeError(f"robustness upper bound {upper!r} below lower bound {lower!r}")
-        upper = lower
-    return {
-        "lower": lower,
-        "lower_witness_cut": cut,
-        "upper": upper,
-        "upper_certified": True,
-        "upper_candidate": basis,
-    }
 
 
 def cmd_ghz_saturation(args) -> tuple[dict, int]:

@@ -13,27 +13,38 @@ from .qstate import Ket, RegisterMismatchError
 from .witnesses import Witness, WitnessClassError, eval_witness, maxent_cut_value
 
 DIAGONAL_TOL = 1e-10
+# Relative margin within which two robustness values that agree in exact arithmetic
+# (two cuts' witness values; the two-qubit witness and l1 bounds) count as equal.
+# Rounding has kept them within 6 eps (README, `quantify`).
+ROUNDING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class RobustnessBounds:
     """One- or two-sided bracket on the generalized robustness of a state.
 
-    ``upper`` is None while unknown. ``certified_upper`` is set when the
-    mixing point passed the diagonal-product separability certificate.
+    ``upper`` is None while unknown, and certified otherwise. An ``upper``
+    below ``lower`` by at most ``ROUNDING_TOL * max(1, lower)`` is rounding and
+    is lifted to ``lower``, which keeps it sound; a larger crossing is an
+    internal fault and raises ``RuntimeError``.
     """
 
     lower: float = 0.0
     upper: float | None = None
-    certified_upper: bool = False
 
     def __post_init__(self):
         if self.lower < 0:
             raise ValueError("lower bound must be nonnegative")
-        if self.upper is not None and self.lower > self.upper + 1e-7:
-            raise ValueError(
-                f"bounds cross: lower {self.lower} > upper {self.upper}"
-            )
+        if self.upper is not None and self.upper < self.lower:
+            if self.lower - self.upper > ROUNDING_TOL * max(1.0, self.lower):
+                raise RuntimeError(
+                    f"robustness upper bound {self.upper!r} below lower bound {self.lower!r}"
+                )
+            object.__setattr__(self, "upper", self.lower)
+
+    @property
+    def certified_upper(self) -> bool:
+        return self.upper is not None
 
 
 @dataclass(frozen=True)
@@ -142,8 +153,8 @@ def rg_upper_via_mixing(rho: HermOp, pi: HermOp) -> RobustnessBounds:
     candidates = (0.0,) if p_sq == 0 else (0.0, -np.vdot(p, r).real / p_sq)
     for s in candidates:
         if 0 <= s <= rho.register.size and separability_certificate_diagonal(mix(rho, pi, s)):
-            return RobustnessBounds(lower=0.0, upper=float(s), certified_upper=True)
-    return RobustnessBounds(lower=0.0, upper=None)
+            return RobustnessBounds(lower=0.0, upper=float(s))
+    return RobustnessBounds(lower=0.0)
 
 
 def rg_lower_pure(psi: Ket) -> tuple[float, list[int] | None]:
@@ -170,7 +181,7 @@ def best_single_cut(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     best = np.zeros(values.shape[:-1])
     index = np.full(values.shape[:-1], -1)
     for j in range(values.shape[-1]):
-        margin = np.where(index < 0, 0.0, 1e-12 * np.maximum(1.0, best))
+        margin = np.where(index < 0, 0.0, ROUNDING_TOL * np.maximum(1.0, best))
         wins = values[..., j] > best + margin
         best = np.where(wins, values[..., j], best)
         index = np.where(wins, j, index)

@@ -23,7 +23,6 @@ from entsup.cli import (
     EXIT_SOLVER,
     StateFileError,
     _consume_sweep,
-    _pure_bounds,
     load_state_file,
     main,
     parse_state_document,
@@ -32,6 +31,7 @@ from entsup.linops import single_cut_partitions
 from entsup.qstate import Ket, Register, density, ghz, qubit_register
 from entsup.quantifiers import (
     QuantifierConfig,
+    RobustnessBounds,
     pt_profile,
     rg_lower_pure,
     rg_lower_via_witness,
@@ -855,19 +855,41 @@ def test_quantify_random_state_has_certified_upper(tmp_path, capsys, rng):
     assert rob["lower"] <= rob["ppt_sdp"] + 1e-6 <= rob["upper"] + 2e-6
 
 
+def two_qubit_draws(count):
+    """The first ``count`` random complex two-qubit unit kets of ``default_rng(0)``."""
+    gen = np.random.default_rng(0)
+    for _ in range(count):
+        v = gen.standard_normal(4) + 1j * gen.standard_normal(4)
+        yield Ket(qubit_register(2), v / np.linalg.norm(v))
+
+
 def test_two_qubit_upper_never_prints_below_lower():
     # On two qubits lower and upper are both (s_1 + s_2)^2 - 1 and differ by
     # rounding only: the library's upper came out below its lower on 76 of these
-    # 667 kets, by up to 4 eps max(1, lower). The report lifts it to lower.
-    gen = np.random.default_rng(0)
+    # 667 kets, by up to 4 eps max(1, lower). RobustnessBounds lifts it to lower.
     lifted = 0
-    for _ in range(667):
-        v = gen.standard_normal(4) + 1j * gen.standard_normal(4)
-        ket = Ket(qubit_register(2), v / np.linalg.norm(v))
-        bounds = _pure_bounds(ket)
-        assert bounds["lower"] <= bounds["upper"]
-        lifted += bounds["upper"] == bounds["lower"] > quantifiers.rg_upper_pure(ket)[0]
+    for ket in two_qubit_draws(667):
+        lower, upper = rg_lower_pure(ket)[0], quantifiers.rg_upper_pure(ket)[0]
+        bounds = RobustnessBounds(lower, upper)
+        assert bounds.lower == lower <= bounds.upper
+        lifted += bounds.upper == lower > upper
     assert lifted == 76
+
+
+def test_two_qubit_crossings_past_4_eps_still_report(tmp_path, capsys):
+    # Draws 12 167 and 12 379 put upper 5.0 and 4.5 eps max(1, lower) below
+    # lower, past a 4 eps margin that once made quantify fail with exit 1.
+    kets = list(two_qubit_draws(12380))
+    for index, want_lower in ((12167, 0.8812490631059962), (12379, 0.8337492198869491)):
+        path = write_state(tmp_path, f"draw{index}.json", kets[index])
+        ket = load_state_file(path)
+        upper = quantifiers.rg_upper_pure(ket)[0]
+        assert want_lower - upper > 4 * sys.float_info.epsilon * max(1.0, want_lower)
+        code, report = run_cli(capsys, "quantify", path)
+        rob = report["results"]["robustness"]
+        assert code == EXIT_OK
+        assert rob["lower"] == rob["upper"] == want_lower
+        assert rob["lower_witness_cut"] == [0] and rob["upper_certified"] is True
 
 
 def test_an_upper_bound_far_below_lower_is_an_internal_fault(tmp_path, monkeypatch):

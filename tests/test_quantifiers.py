@@ -409,10 +409,26 @@ def test_sandwich_consistency_on_ghz():
 def test_robustness_bounds_validation():
     with pytest.raises(ValueError):
         RobustnessBounds(lower=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="upper bound 0.5 below lower bound 1.0"):
         RobustnessBounds(lower=1.0, upper=0.5)
     b = RobustnessBounds(lower=0.3, upper=0.4)
-    assert b.lower == 0.3 and not b.certified_upper
+    assert (b.lower, b.upper) == (0.3, 0.4) and b.certified_upper
+    assert not RobustnessBounds(lower=0.3).certified_upper
+    lifted = RobustnessBounds(lower=0.5, upper=0.5 - 1e-13)
+    assert lifted.upper == lifted.lower == 0.5 and lifted.certified_upper
+
+
+def test_pure_bounds_bracket_the_ppt_sdp():
+    # quantify's bracket against its SDP at the default tolerance, 1e-6 at d <= 16.
+    # The SDP's value is a primal one, so it may pass upper by up to that tolerance.
+    tol = 1e-6
+    for n in (2, 3):
+        for s in range(30):
+            ket = Ket(qubit_register(n), random_pure_amplitudes(np.random.default_rng([7, n, s]), 2**n))
+            bounds = RobustnessBounds(rg_lower_pure(ket)[0], rg_upper_pure(ket)[0])
+            sdp = rg_ppt_sdp(ket, single_cut_partitions(ket.register))
+            assert bounds.lower <= sdp + tol, (n, s)
+            assert sdp <= bounds.upper + tol, (n, s)
 
 
 def _all_cuts(register):
