@@ -236,3 +236,16 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
+
+def _contract_all_but(amplitudes: np.ndarray, vectors, site: int) -> np.ndarray:
+    """Contract each ket of a (..., d) stack with ``vectors[k]`` on every site k but ``site``.
+
+    Returns the (..., d_site) remainder; ``vectors[site]`` is not read. The sites
+    before and after ``site`` fold into one Kronecker vector each, so the cost
+    is two matrix-vector products, O(d) per ket.
+    """
+    left = functools.reduce(np.kron, vectors[:site], np.ones(1))
+    right = functools.reduce(np.kron, vectors[site + 1 :], np.ones(1))
+    lead = amplitudes.shape[:-1]
+    folded = left @ amplitudes.reshape(lead + (left.size, -1))
+    return folded.reshape(lead + (-1, right.size)) @ right

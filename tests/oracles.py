@@ -148,14 +148,9 @@ def robustness_by_bisection(rho, dims, cuts, hi=None, resolution=1e-5):
 def grid_product_overlap_2q(projector, steps=400):
     """Exhaustive real-product-state grid for two qubits."""
     angles = np.linspace(0.0, np.pi, steps)
-    best = 0.0
-    for t1 in angles:
-        v1 = np.array([np.cos(t1), np.sin(t1)])
-        for t2 in angles:
-            v2 = np.array([np.cos(t2), np.sin(t2)])
-            prod = np.kron(v1, v2)
-            best = max(best, float(np.real(prod @ projector @ prod)))
-    return best
+    v = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    values = np.einsum("sa,tb,abce,sc,te->st", v, v, projector.reshape(2, 2, 2, 2), v, v)
+    return max(0.0, float(np.max(values.real)))
 
 
 def diagonal_mixing_scan(rho, pi, tol, s_max, steps=100_000):

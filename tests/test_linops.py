@@ -297,3 +297,19 @@ def test_qubit_cuts_of_a_large_ket_stay_within_twice_the_register():
     stack = np.stack([ket.amplitudes] * 3)
     _, peak = traced_peak(lambda: schmidt_spectra(stack, ket.register, cuts))
     assert peak < 2 * stack.nbytes, peak
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_contract_all_but_matches_einsum(rng, r):
+    dims = (2, 3, 2)
+    kets = rng.standard_normal((r, 12)) + 1j * rng.standard_normal((r, 12))
+    vectors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+    tens = kets.reshape((r,) + dims)
+    for site in range(3):
+        operands = [tens, [3, 0, 1, 2]]
+        for k in set(range(3)) - {site}:
+            operands += [vectors[k], [k]]
+        expected = np.einsum(*operands, [3, site])
+        got = linops._contract_all_but(kets, vectors, site)
+        assert got.shape == (r, dims[site])
+        assert np.max(np.abs(got - expected)) <= 1e-13

@@ -200,10 +200,34 @@ def test_max_product_overlap_monotone_in_restarts():
         ProductSearchConfig(restarts=0)
 
 
-def test_max_product_overlap_rejects_non_projector():
+def test_max_product_overlap_rank_and_qudit_cases(rng):
+    # W_3 (Wei & Goldbart, PRA 68, 042307, 2003) and a qutrit maximally entangled pair.
+    w3 = np.zeros(8, dtype=complex)
+    w3[[1, 2, 4]] = 1 / math.sqrt(3)
+    assert max_product_overlap(density(Ket(qubit_register(3), w3))) == pytest.approx(4 / 9, abs=1e-6)
+    pair = np.zeros(9, dtype=complex)
+    pair[[0, 4, 8]] = 1 / math.sqrt(3)
+    assert max_product_overlap(density(Ket(Register((3, 3)), pair))) == pytest.approx(1 / 3, abs=1e-6)
+    # Every 2-dimensional subspace of C^2 x C^2 holds a product vector.
+    assert max_product_overlap(_rank_two_projector(rng)) == pytest.approx(1.0, abs=1e-6)
+
+
+def _rank_two_projector(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+    return HermOp(qubit_register(2), q @ q.conj().T)
+
+
+def test_max_product_overlap_rejects_non_projector(rng):
     reg = qubit_register(2)
     with pytest.raises(ValueError):
         max_product_overlap(HermOp(reg, 0.5 * np.eye(4)))
+    # The check reads ||P^2 - P|| in operator norm, so a perturbation of norm 1e-8 fails it.
+    proj = _rank_two_projector(rng).matrix
+    h = random_hermitian(rng, 4)
+    h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+    with pytest.raises(ValueError, match="^operator is not idempotent"):
+        max_product_overlap(HermOp(reg, proj + 1e-8 * h))
+    assert max_product_overlap(HermOp(reg, proj + 1e-12 * h)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_maxent_cut_witness_values(rng):
