@@ -1,10 +1,12 @@
-"""README's library example and CLI lines run as written."""
+"""README's library example and CLI lines run as written, and its constants match the code."""
 
 import json
+import math
 import re
 import shlex
 from pathlib import Path
 
+from entsup import linops, qstate, quantifiers, sdpcore, supbound, witnesses
 from entsup.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -35,3 +37,43 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
     for line in lines:
         assert main(shlex.split(line)[1:]) == EXIT_OK, line
         capsys.readouterr()
+
+
+def _sci(x):
+    mantissa, exponent = f"{x:g}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
+def _grouped(n):
+    return f"{n:,}".replace(",", " ")
+
+
+def _power(base, n):
+    exponent = round(math.log(n, base))
+    return f"{base}^{exponent}" if base**exponent == n else str(n)
+
+
+def test_readme_quotes_the_constants_it_names():
+    # Each phrase quotes a constant's value next to its name, so changing the
+    # constant without README fails here. Whitespace is collapsed on both sides.
+    phrases = [
+        f"({sdpcore.MAX_DIMENSION}, `sdpcore.MAX_DIMENSION`)",
+        f"`sdpcore.MAX_ITERATIONS` ({_grouped(sdpcore.MAX_ITERATIONS)}) iterations",
+        f"(`sdpcore.CHECK_EVERY` = {sdpcore.CHECK_EVERY})",
+        f"over the last {sdpcore.ANDERSON_MEMORY} passes",
+        f"(`ROUNDING_TOL = {_sci(quantifiers.ROUNDING_TOL)}`",
+        f"`s_1 s_2 <= {_sci(linops.PSD_TOL)}` (`linops.PSD_TOL`)",
+        f"`s_i s_j > {_sci(linops.PSD_TOL)}` (`linops.PSD_TOL`",
+        f"`|<psi|psi> - 1| <= {_sci(linops.DENSITY_TOL)}` (`linops.DENSITY_TOL`)",
+        f"`quantifiers.DIAGONAL_TOL` ({_sci(quantifiers.DIAGONAL_TOL)})",
+        f"more than {_power(10, supbound.MAX_SWEEP_ROWS)} rows (`supbound.MAX_SWEEP_ROWS`)",
+        f"at most {_power(2, supbound.SWEEP_BLOCK_AMPLITUDES)} amplitudes per stacked branch"
+        " (`supbound.SWEEP_BLOCK_AMPLITUDES`)",
+        f"at most {_power(2, qstate.MAX_REGISTER_SIZE)} amplitudes"
+        f" ({round(math.log2(qstate.MAX_REGISTER_SIZE))} qubits, `qstate.MAX_REGISTER_SIZE`)",
+        f"after {witnesses.SEESAW_MAX_ITERATIONS} sweeps or once a sweep gains at most"
+        f" {_sci(witnesses.SEESAW_CONVERGENCE_TOL)} (`witnesses.SEESAW_MAX_ITERATIONS`,"
+        " `SEESAW_CONVERGENCE_TOL`)",
+    ]
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert [phrase for phrase in phrases if phrase not in text] == []

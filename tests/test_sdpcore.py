@@ -55,6 +55,12 @@ def random3_problem():
     return build_robustness_sdp(ket, single_cut_partitions(ket.register))
 
 
+def hard_problem():
+    """The random 4-qubit ket with seed 0 over all single cuts, the slowest measured solve."""
+    ket = Ket(qubit_register(4), random_pure_amplitudes(np.random.default_rng(0), 16))
+    return build_robustness_sdp(ket, single_cut_partitions(ket.register))
+
+
 def test_build_robustness_sdp_shapes():
     problem = bell_problem()
     assert problem.variable_dim == 4
@@ -209,11 +215,23 @@ def test_a_budget_stop_checks_its_last_iteration_off_the_schedule(monkeypatch):
     assert solution.gap < solve(problem, tol=1e-12).gap
 
 
+def test_a_budget_stop_returns_its_best_check_when_that_is_not_its_last(monkeypatch):
+    # A budget of 98 checks at 8, 16, ..., 88, 97 and 98. The check at 98 reads a gap
+    # of 0.0105988, larger than the 0.0102510 at 97, so the solve returns the check
+    # at 97's points and values, with the iterations it spent.
+    problem = hard_problem()
+    assert check_iterations(98, budget=98)[-3:] == [88, 97, 98]
+    monkeypatch.setattr(sdpcore, "MAX_ITERATIONS", 98)
+    solution = solve(problem, tol=1e-12)
+    assert solution.status == "max_iter" and solution.iterations == 98
+    assert solution.gap == pytest.approx(0.0102509792806, rel=1e-9)
+    assert check_certificate(problem, solution, tol=solution.gap)
+
+
 def test_the_slowest_measured_solve_fits_the_budget():
-    # A random 4-qubit ket over all single cuts needs about 4 100 iterations at
+    # A random 4-qubit ket over all single cuts certifies at 4 096 iterations at
     # 1e-6, the most of any measured solve; MAX_ITERATIONS must leave it room.
-    ket = Ket(qubit_register(4), random_pure_amplitudes(np.random.default_rng(0), 16))
-    problem = build_robustness_sdp(ket, single_cut_partitions(ket.register))
+    problem = hard_problem()
     solution = solve(problem, tol=1e-6)
     assert solution.status == "optimal"
     assert solution.primal_value == pytest.approx(2.0189389, abs=1e-6)
