@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -99,8 +101,17 @@ def parse_state_document(doc: dict, where: str = "<state>") -> Ket:
                 f"{where}: expected {register.size} dense amplitudes, "
                 f"got {len(entries)}"
             )
-        for pos, entry in enumerate(entries):
-            amp[pos] = _amplitude(entry, where, pos)
+        # [re, im] lists of finite non-bool numbers convert in one call; the loop names a bad one.
+        pairs = None
+        if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+            if set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
+                with contextlib.suppress(OverflowError):
+                    pairs = np.array(entries, dtype=np.float64)
+        if pairs is not None and np.isfinite(pairs).all():
+            amp = pairs.view(np.complex128).ravel()
+        else:
+            for pos, entry in enumerate(entries):
+                amp[pos] = _amplitude(entry, where, pos)
     if not np.any(amp):
         raise StateFileError(f"{where}: all amplitudes vanish")
     return Ket(register, amp)
@@ -145,56 +156,40 @@ def cmd_quantify(args) -> tuple[dict, int]:
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise StateFileError(f"--tolerance must be finite and positive, got {tol}")
     ket = load_state_file(args.state)
-    renormalized_input = False
     norm_sq = ket.norm() ** 2
-    if abs(norm_sq - 1.0) > linops.DENSITY_TOL:
+    renormalized_input = abs(norm_sq - 1.0) > linops.DENSITY_TOL
+    if renormalized_input:
         try:
             ket = ket.normalized()
         except ValueError as err:
             raise StateFileError(f"{args.state}: squared norm {norm_sq!r}: {err}") from err
-        renormalized_input = True
     parts = parse_partitions(args.partition, ket.register)
+    cuts = [sorted(p.transposed) for p in parts]
     results: dict = {}
     exit_code = EXIT_OK
 
     if args.quantifier in ("negativity", "all"):
         profile = quantifiers.pt_profile(ket, parts)
-        results["negativity"] = [
-            {"partition": sorted(p.transposed), "value": value}
-            for p, (value, _) in zip(parts, profile)
-        ]
-        results["ppt"] = [
-            {"partition": sorted(p.transposed), "ppt": flag}
-            for p, (_, flag) in zip(parts, profile)
-        ]
+        results["negativity"] = [{"partition": c, "value": v} for c, (v, _) in zip(cuts, profile)]
+        results["ppt"] = [{"partition": c, "ppt": flag} for c, (_, flag) in zip(cuts, profile)]
 
     if args.quantifier in ("robustness", "all"):
         lower, cut = quantifiers.rg_lower_pure(ket)
         upper, basis = quantifiers.rg_upper_pure(ket)
-        bounds = quantifiers.RobustnessBounds(lower, upper)
-        robustness = {
-            "lower": bounds.lower,
-            "lower_witness_cut": cut,
-            "upper": bounds.upper,
-            "upper_certified": bounds.certified_upper,
-            "upper_candidate": basis,
-        }
+        bounds = quantifiers.RobustnessBounds(lower, upper, cut, basis)
         try:
-            robustness["ppt_sdp"] = quantifiers.rg_ppt_sdp(ket, parts, tol=tol)
+            bounds = dataclasses.replace(bounds, ppt_sdp=quantifiers.rg_ppt_sdp(ket, parts, tol=tol))
         except sdpcore.SolverFailureError as err:
-            robustness["ppt_sdp"] = None
-            robustness["ppt_sdp_best"] = err.best_value
-            robustness["ppt_sdp_error"] = str(err)
+            bounds = dataclasses.replace(bounds, ppt_sdp_best=err.best_value, ppt_sdp_error=str(err))
             exit_code = EXIT_SOLVER
-        except ValueError as err:
-            robustness["ppt_sdp"] = None
-            robustness["ppt_sdp_error"] = str(err)
-        results["robustness"] = robustness
+        except sdpcore.DimensionLimitError as err:
+            bounds = dataclasses.replace(bounds, ppt_sdp_error=str(err))
+        results["robustness"] = bounds.report()
 
     config = {
         "state": args.state,
         "quantifier": args.quantifier,
-        "partitions": [sorted(p.transposed) for p in parts],
+        "partitions": cuts,
         "renormalized_input": renormalized_input,
     }
     return _run_report("quantify", config, results), exit_code
@@ -345,6 +340,8 @@ def main(argv: list[str] | None = None) -> int:
             report, code = cmd_ghz_saturation(args)
         else:
             report, code = cmd_sweep(args)
+    except np.linalg.LinAlgError:  # a ValueError, but an internal fault, not an input error
+        raise
     except (StateFileError, ValueError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return EXIT_INPUT

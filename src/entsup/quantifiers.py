@@ -21,16 +21,21 @@ ROUNDING_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RobustnessBounds:
-    """One- or two-sided bracket on the generalized robustness of a state.
+    """One- or two-sided bracket on the generalized robustness of a state, and its sources.
 
-    ``upper`` is None while unknown, and certified otherwise. An ``upper``
-    below ``lower`` by at most ``ROUNDING_TOL * max(1, lower)`` is rounding and
-    is lifted to ``lower``, which keeps it sound; a larger crossing is an
-    internal fault and raises ``RuntimeError``.
+    ``upper`` is None while unknown, and certified otherwise. An ``upper`` below ``lower``
+    by at most ``ROUNDING_TOL * max(1, lower)`` is rounding and is lifted to ``lower``,
+    which keeps it sound; a larger crossing is an internal fault and raises
+    ``RuntimeError``. ``ppt_sdp`` is the PPT SDP's value, or None with ``ppt_sdp_error``.
     """
 
     lower: float = 0.0
     upper: float | None = None
+    lower_witness_cut: list[int] | None = None
+    upper_candidate: str | None = None
+    ppt_sdp: float | None = None
+    ppt_sdp_best: float | None = None
+    ppt_sdp_error: str | None = None
 
     def __post_init__(self):
         if self.lower < 0:
@@ -45,6 +50,14 @@ class RobustnessBounds:
     @property
     def certified_upper(self) -> bool:
         return self.upper is not None
+
+    def report(self) -> dict:
+        """The ``quantify`` robustness block; the SDP's failure items only when set."""
+        block = {"lower": self.lower, "lower_witness_cut": self.lower_witness_cut}
+        block |= {"upper": self.upper, "upper_certified": self.certified_upper}
+        block |= {"upper_candidate": self.upper_candidate, "ppt_sdp": self.ppt_sdp}
+        failure = {"ppt_sdp_best": self.ppt_sdp_best, "ppt_sdp_error": self.ppt_sdp_error}
+        return block | {key: value for key, value in failure.items() if value is not None}
 
 
 @dataclass(frozen=True)

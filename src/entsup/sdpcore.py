@@ -69,6 +69,10 @@ def default_tolerance(dim: int) -> float:
     return 1e-6 if dim <= 16 else 1e-4
 
 
+class DimensionLimitError(ValueError):
+    """The robustness SDP refuses a variable dimension above ``MAX_DIMENSION``."""
+
+
 class SolverFailureError(RuntimeError):
     """The solver stopped without a certified optimum."""
 
@@ -124,7 +128,7 @@ def build_robustness_sdp(state: HermOp | Ket, partitions: Sequence[Partition]) -
         raise ValueError("need at least one partition")
     d = state.register.size
     if d > MAX_DIMENSION:
-        raise ValueError(f"robustness SDP limited to dimension {MAX_DIMENSION}, got {d}")
+        raise DimensionLimitError(f"robustness SDP limited to dimension {MAX_DIMENSION}, got {d}")
     for p in partitions:
         p.validate(state.register)
     dims = state.register.dims

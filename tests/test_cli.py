@@ -674,6 +674,39 @@ def test_state_document_round_trip_is_identity(ket):
     assert back.amplitudes.tobytes() == ket.amplitudes.tobytes()  # -0.0 kept too
 
 
+_part = st.one_of(_finite, _edge, st.integers(-(2**1023), 2**1023))
+
+
+@given(pairs=st.lists(st.tuples(_part, _part), min_size=16, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_dense_lists_convert_in_bulk_as_the_loop_does(pairs):
+    # Tuple entries, as Python callers may pass them, take the per-entry loop;
+    # the same values as JSON lists take the bulk conversion. Both give the same bits.
+    assume(any(re or im for re, im in pairs))
+    bulk = parse_state_document({"dims": [2] * 4, "amplitudes": [list(p) for p in pairs]})
+    loop = parse_state_document({"dims": [2] * 4, "amplitudes": pairs})
+    want = np.array([complex(float(re), float(im)) for re, im in pairs])
+    assert bulk.amplitudes.tobytes() == loop.amplitudes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("pos", [0, 199, 255])
+@pytest.mark.parametrize(
+    "bad",
+    ["true", "[true, 0.0]", '"1"', "null", "[1.0, 0.0, 0.0]", "[[1.0], 0.0]", "[NaN, 0.0]",
+     "[0.0, Infinity]", f"[{2**1100}, 0.0]"],
+)
+def test_dense_lists_name_their_first_bad_entry(pos, bad):
+    entries = ["[0.0625, 0.0]"] * 256
+    entries[pos] = bad
+    doc = json.loads(f'{{"dims": {[2] * 8}, "amplitudes": [{", ".join(entries)}]}}')
+    with pytest.raises(StateFileError) as err:
+        parse_state_document(doc, where="s.json")
+    assert str(err.value) == (
+        f"s.json: amplitudes[{pos}]: need an [re, im] pair of finite numbers, "
+        f"got {json.loads(bad)!r}"
+    )
+
+
 def test_state_round_trip(tmp_path, rng):
     reg = qubit_register(3)
     ket = Ket(reg, random_pure_amplitudes(rng, 8))
@@ -895,9 +928,29 @@ def test_two_qubit_crossings_past_4_eps_still_report(tmp_path, capsys):
 def test_an_upper_bound_far_below_lower_is_an_internal_fault(tmp_path, monkeypatch):
     import entsup.cli as cli_mod
 
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the SDP ran after the bounds crossed")
+
     monkeypatch.setattr(cli_mod.quantifiers, "rg_upper_pure", lambda ket: (0.5, "l1-local"))
+    monkeypatch.setattr(cli_mod.quantifiers, "rg_ppt_sdp", unreachable)
     path = write_state(tmp_path, "ghz3.json", ghz(3, 0.0))
     with pytest.raises(RuntimeError, match="upper bound 0.5 below lower bound"):
+        main(["quantify", path, "--quantifier", "robustness"])
+
+
+def test_an_eigensolver_fault_is_an_internal_fault(tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError, yet it is neither an input error (exit 2)
+    # nor the SDP's partial result: main lets it through, wherever it was raised.
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    ket = Ket(qubit_register(3), random_pure_amplitudes(np.random.default_rng(3), 8))
+    path = write_state(tmp_path, "q3.json", ket)
+    monkeypatch.setattr(sdpcore, "solve", no_convergence)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        main(["quantify", path])
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)  # rg_upper_pure's local bases
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         main(["quantify", path, "--quantifier", "robustness"])
 
 

@@ -416,6 +416,31 @@ def test_robustness_bounds_validation():
     assert not RobustnessBounds(lower=0.3).certified_upper
     lifted = RobustnessBounds(lower=0.5, upper=0.5 - 1e-13)
     assert lifted.upper == lifted.lower == 0.5 and lifted.certified_upper
+    # report() writes quantify's robustness block: the bracket, then the SDP's items.
+    bracket = ["lower", "lower_witness_cut", "upper", "upper_certified", "upper_candidate"]
+    assert RobustnessBounds(0.5).report() == {
+        "lower": 0.5, "lower_witness_cut": None, "upper": None,
+        "upper_certified": False, "upper_candidate": None, "ppt_sdp": None,
+    }
+    gen = np.random.default_rng(0)
+    while True:  # the first two-qubit ket whose l1 bound rounds below its witness bound
+        v = gen.standard_normal(4) + 1j * gen.standard_normal(4)
+        ket = Ket(qubit_register(2), v / np.linalg.norm(v))
+        (lower, cut), (upper, basis) = rg_lower_pure(ket), rg_upper_pure(ket)
+        if upper < lower:
+            break
+    block = RobustnessBounds(lower, upper, cut, basis).report()
+    assert block["upper"] == block["lower"] == lower and block["upper_certified"] is True
+    certified = RobustnessBounds(lower, upper, cut, basis, ppt_sdp=0.25)
+    stopped = RobustnessBounds(lower, upper, ppt_sdp_best=0.26, ppt_sdp_error="stopped")
+    refused = RobustnessBounds(lower, upper, ppt_sdp_error="limited to dimension 64, got 128")
+    for bounds, items in (
+        (certified, ["ppt_sdp"]),
+        (stopped, ["ppt_sdp", "ppt_sdp_best", "ppt_sdp_error"]),
+        (refused, ["ppt_sdp", "ppt_sdp_error"]),
+    ):
+        assert list(bounds.report()) == bracket + items
+        assert [bounds.report()[key] for key in items] == [getattr(bounds, key) for key in items]
 
 
 def test_pure_bounds_bracket_the_ppt_sdp():

@@ -77,3 +77,21 @@ def test_readme_quotes_the_constants_it_names():
     ]
     text = " ".join(README.read_text(encoding="utf-8").split())
     assert [phrase for phrase in phrases if phrase not in text] == []
+
+
+def test_readme_names_every_robustness_report_key():
+    # Every key that RobustnessBounds.report() writes, after a certified SDP, a
+    # solver stop and the dimension refusal, is named in README's paragraph on
+    # the quantify robustness block. Whitespace is collapsed there.
+    (paragraph,) = [
+        " ".join(block.split())
+        for block in README.read_text(encoding="utf-8").split("\n\n")
+        if block.startswith("The `quantify` robustness report")
+    ]
+    outcomes = [
+        quantifiers.RobustnessBounds(1.0, 1.0, [0], "l1-local", ppt_sdp=1.0),
+        quantifiers.RobustnessBounds(1.0, 1.0, ppt_sdp_best=0.99, ppt_sdp_error="stopped"),
+        quantifiers.RobustnessBounds(1.0, 1.0, ppt_sdp_error="refused"),
+    ]
+    keys = {key for bounds in outcomes for key in bounds.report()}
+    assert sorted(key for key in keys if f"`{key}`" not in paragraph) == []

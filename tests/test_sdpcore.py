@@ -14,6 +14,7 @@ from entsup.qstate import Ket, Register, basis_ket, density, ghz, qubit_register
 from entsup.sdpcore import (
     CHECK_EVERY,
     MAX_DIMENSION,
+    DimensionLimitError,
     SdpProblem,
     SdpSolution,
     build_robustness_sdp,
@@ -450,5 +451,5 @@ def test_tolerance_must_be_finite_and_positive(tol):
 
 def test_dimension_limit_is_checked_before_building():
     rho = density(ghz(9, 0.0))
-    with pytest.raises(ValueError, match=f"limited to dimension {MAX_DIMENSION},"):
+    with pytest.raises(DimensionLimitError, match=f"limited to dimension {MAX_DIMENSION},"):
         build_robustness_sdp(rho, [part(0)])
