@@ -138,14 +138,16 @@ def _amplitude(pair, where: str, pos: int) -> complex:
 
 
 def parse_partitions(specs: list[str] | None, register: Register) -> list[Partition]:
-    """Explicit cuts, or every single cut; each must be a proper nonempty subset."""
-    parts = []
-    for spec in specs or []:
+    """Explicit cuts, each named once, or every single cut; each a proper nonempty subset."""
+    first: dict[Partition, int] = {}  # each cut and the position that names it
+    for pos, spec in enumerate(specs or []):
         try:
-            parts.append(Partition(frozenset(int(tok) for tok in spec.split(",") if tok != "")))
+            p = Partition(frozenset(int(tok) for tok in spec.split(",") if tok != ""))
         except ValueError as err:
             raise StateFileError(f"bad partition {spec!r}: {err}") from err
-    parts = parts or linops.single_cut_partitions(register)
+        if first.setdefault(p, pos) != pos:
+            raise StateFileError(f"--partition[{pos}] {spec!r} repeats --partition[{first[p]}]")
+    parts = list(first) or linops.single_cut_partitions(register)
     for p in parts:
         p.validate(register)
     return parts
@@ -178,7 +180,10 @@ def cmd_quantify(args) -> tuple[dict, int]:
         upper, basis = quantifiers.rg_upper_pure(ket)
         bounds = quantifiers.RobustnessBounds(lower, upper, cut, basis)
         try:
-            bounds = dataclasses.replace(bounds, ppt_sdp=quantifiers.rg_ppt_sdp(ket, parts, tol=tol))
+            # lower's witness and the l1 operator are SDP-feasible: a closed bracket needs no solve.
+            exact = bounds.fixes_ppt(cuts, tol or sdpcore.default_tolerance(ket.register.size))
+            value = bounds.upper if exact else quantifiers.rg_ppt_sdp(ket, parts, tol=tol)
+            bounds = dataclasses.replace(bounds, ppt_sdp=value, exact=exact)
         except sdpcore.SolverFailureError as err:
             bounds = dataclasses.replace(bounds, ppt_sdp_best=err.best_value, ppt_sdp_error=str(err))
             exit_code = EXIT_SOLVER

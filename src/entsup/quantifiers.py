@@ -36,6 +36,7 @@ class RobustnessBounds:
     ppt_sdp: float | None = None
     ppt_sdp_best: float | None = None
     ppt_sdp_error: str | None = None
+    exact: bool = False  # ppt_sdp is upper, from a bracket that fixes_ppt: no solve ran
 
     def __post_init__(self):
         if self.lower < 0:
@@ -51,11 +52,17 @@ class RobustnessBounds:
     def certified_upper(self) -> bool:
         return self.upper is not None
 
+    def fixes_ppt(self, cuts: list[list[int]], tol: float) -> bool:
+        """Whether the bracket pins the PPT SDP over ``cuts`` to ``upper`` within ``tol``."""
+        closed = self.upper is not None and self.upper - self.lower <= tol
+        return closed and (self.lower == 0 or self.lower_witness_cut in cuts)
+
     def report(self) -> dict:
         """The ``quantify`` robustness block; the SDP's failure items only when set."""
         block = {"lower": self.lower, "lower_witness_cut": self.lower_witness_cut}
         block |= {"upper": self.upper, "upper_certified": self.certified_upper}
         block |= {"upper_candidate": self.upper_candidate, "ppt_sdp": self.ppt_sdp}
+        block |= {"exact": self.exact}
         failure = {"ppt_sdp_best": self.ppt_sdp_best, "ppt_sdp_error": self.ppt_sdp_error}
         return block | {key: value for key, value in failure.items() if value is not None}
 

@@ -1,7 +1,10 @@
 """Command-line contract: parsing, outputs, exit codes, determinism."""
 
+import cmath
+import contextlib
 import errno
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -28,7 +31,7 @@ from entsup.cli import (
     parse_state_document,
 )
 from entsup.linops import single_cut_partitions
-from entsup.qstate import Ket, Register, density, ghz, qubit_register
+from entsup.qstate import Ket, Register, basis_ket, density, ghz, qubit_register
 from entsup.quantifiers import (
     QuantifierConfig,
     RobustnessBounds,
@@ -534,13 +537,17 @@ def test_quantify_solver_failure_partial_results(tmp_path, monkeypatch, capsys):
         raise SolverFailureError("stopped at max_iter", best_value=0.97)
 
     monkeypatch.setattr(cli_mod.quantifiers, "rg_ppt_sdp", stall)
-    path = write_state(tmp_path, "bell.json", ghz(2, 0.0))
+    # W3's bracket is open (lower 2 sqrt(2)/3, upper 2), so the solver is reached.
+    amps = np.zeros(8)
+    amps[[1, 2, 4]] = 1 / math.sqrt(3)
+    path = write_state(tmp_path, "w3.json", Ket(qubit_register(3), amps))
     code, report = run_cli(capsys, "quantify", path, "--quantifier", "robustness")
     assert code == 3
     rob = report["results"]["robustness"]
     assert rob["ppt_sdp"] is None
     assert rob["ppt_sdp_best"] == 0.97
-    assert rob["lower"] == pytest.approx(1.0, abs=1e-9)  # partial results intact
+    assert rob["exact"] is False
+    assert rob["lower"] == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-9)  # partial results intact
 
 
 def test_rg_ppt_sdp_failure_carries_the_best_primal(tmp_path, monkeypatch, capsys):
@@ -872,7 +879,8 @@ def test_upper_path_solves_only_site_sized_matrices(tmp_path, capsys, monkeypatc
         assert solves == [("eigh", (2, 2))] * 3
         rob = report["results"]["robustness"]
         assert list(rob) == [
-            "lower", "lower_witness_cut", "upper", "upper_certified", "upper_candidate", "ppt_sdp"
+            "lower", "lower_witness_cut", "upper", "upper_certified", "upper_candidate", "ppt_sdp",
+            "exact",
         ]
         assert rob["upper_certified"] is True
 
@@ -1067,3 +1075,130 @@ def test_quantify_keeps_a_ket_inside_the_density_band(tmp_path, capsys):
     assert results["robustness"]["lower"] == pytest.approx(lower, abs=1e-12)
     assert results["robustness"]["lower_witness_cut"] == cut
     assert results["robustness"]["ppt_sdp"] is not None
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a closed bracket needs no SDP")
+
+
+def _tightness_ket(n, theta, phi):
+    """cos(theta)|0...0> + e^{i phi} sin(theta)|1...1>, the class on which the bound is tight."""
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0], amps[-1] = math.cos(theta), cmath.exp(1j * phi) * math.sin(theta)
+    return Ket(qubit_register(n), amps)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_quantify_reads_the_tightness_class_as_exact_without_a_solve(
+    tmp_path, capsys, monkeypatch, n
+):
+    # lower (the cut witness) and upper (l1 in the computational basis) are both
+    # sin 2 theta, so ppt_sdp is read off the bracket; from n = 7 on that is above
+    # MAX_DIMENSION, where an open bracket reports ppt_sdp null.
+    monkeypatch.setattr(quantifiers, "rg_ppt_sdp", _no_solve)
+    frame = np.random.default_rng(n)
+    cases = [
+        (_tightness_ket(n, theta, phi), math.sin(2 * theta))
+        for theta in (0.03, 0.4, math.pi / 4, 1.2, math.pi / 2 - 0.03)
+        for phi in (0.0, 0.7)
+    ]
+    product = np.ones(1)
+    for _ in range(n):  # a product of random one-qubit kets
+        product = np.kron(product, random_pure_amplitudes(frame, 2))
+    cases += [(basis_ket(qubit_register(n), [q % 2 for q in range(n)]), 0.0)]
+    cases += [(Ket(qubit_register(n), product), 0.0)]
+    for ket, truth in cases:
+        path = write_state(tmp_path, "state.json", ket)
+        code, report = run_cli(capsys, "quantify", path, "--quantifier", "robustness")
+        assert code == EXIT_OK
+        rob = report["results"]["robustness"]
+        assert rob["exact"] is True and "ppt_sdp_error" not in rob
+        for key in ("lower", "upper", "ppt_sdp"):
+            assert rob[key] == pytest.approx(truth, abs=1e-12), (key, rob)
+        assert rob["ppt_sdp"] == rob["upper"]
+
+
+def test_a_repeated_partition_is_an_input_error(tmp_path, capsys):
+    path = write_state(tmp_path, "ghz3.json", ghz(3, 0.0))
+    code = main(["quantify", path, "--partition", "0,1", "--partition", "2", "--partition", "1,0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    assert json.loads(captured.err) == {"error": "--partition[2] '1,0' repeats --partition[0]"}
+    code, report = run_cli(capsys, "quantify", path, "--partition", "0,1", "--partition", "1")
+    assert code == EXIT_OK
+    assert report["config"]["partitions"] == [[0, 1], [1]]
+
+
+def test_a_closed_bracket_off_the_sdp_cuts_still_solves(tmp_path, capsys, monkeypatch):
+    # GHZ3's bracket is closed at 1, on the witness cut [0]. Over the cut [1] alone
+    # that witness is not a dual point of the program, so the solver runs.
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(args[1])
+        return rg_ppt_sdp(*args, **kwargs)
+
+    monkeypatch.setattr(quantifiers, "rg_ppt_sdp", solve)
+    path = write_state(tmp_path, "ghz3.json", ghz(3, 0.7))
+    code, report = run_cli(capsys, "quantify", path, "--quantifier", "robustness", "--partition", "1")
+    rob = report["results"]["robustness"]
+    assert code == EXIT_OK and len(calls) == 1
+    assert rob["lower_witness_cut"] == [0] and rob["exact"] is False
+    assert rob["upper"] - rob["lower"] <= 1e-12
+    assert rob["ppt_sdp"] == pytest.approx(1.0, abs=1e-6)
+    code, report = run_cli(capsys, "quantify", path, "--quantifier", "robustness", "--partition", "0")
+    assert code == EXIT_OK and len(calls) == 1
+    assert report["results"]["robustness"]["exact"] is True
+
+
+def test_exact_follows_the_tolerance_in_effect(tmp_path, capsys, monkeypatch):
+    # GHZ3 plus a little |001>: upper - lower is about 2.0e-3, between the two tolerances.
+    amps = np.zeros(8)
+    amps[[0, 7, 1]] = 1.0, 1.0, 1e-3
+    path = write_state(tmp_path, "near.json", Ket(qubit_register(3), amps / np.linalg.norm(amps)))
+    runs = [
+        run_cli(capsys, "quantify", path, "--quantifier", "robustness", "--tolerance", tol)
+        for tol in ("1e-2", "1e-3")
+    ]
+    assert [code for code, _ in runs] == [EXIT_OK, EXIT_OK]
+    wide, tight = (report["results"]["robustness"] for _, report in runs)
+    assert 1e-3 < wide["upper"] - wide["lower"] < 1e-2
+    assert wide["exact"] is True and wide["ppt_sdp"] == wide["upper"]
+    assert tight["exact"] is False
+    assert tight["lower"] - 1e-3 <= tight["ppt_sdp"] <= tight["upper"] + 1e-3
+
+
+@st.composite
+def _two_and_three_qubit_kets(draw):
+    """A random ket, or a tightness-class ket in a random local frame, on 2 or 3 qubits."""
+    n = draw(st.sampled_from([2, 3]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return Ket(qubit_register(n), random_pure_amplitudes(gen, 2**n))
+    amps = _tightness_ket(n, gen.uniform(0.05, math.pi / 2 - 0.05), gen.uniform(0, 2 * math.pi))
+    amps = amps.amplitudes.reshape((2,) * n)
+    for site in range(n):
+        z = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
+        u = np.linalg.qr(z)[0]
+        amps = np.moveaxis(np.tensordot(u, amps, axes=([1], [site])), 0, site)
+    return Ket(qubit_register(n), amps.ravel())
+
+
+@given(ket=_two_and_three_qubit_kets())
+@settings(max_examples=16, deadline=None)
+def test_quantify_brackets_its_ppt_sdp_and_says_exact_when_closed(tmp_path_factory, ket):
+    # At the default tolerance (1e-6 at d <= 16) over every single cut: the SDP's
+    # value lies in the bracket, exact means the bracket closed, and two qubits,
+    # where PPT is separable, close (a generic ket has distinct Schmidt coefficients).
+    tol = sdpcore.default_tolerance(ket.register.size)
+    path = str(tmp_path_factory.mktemp("bracket") / "state.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(ket_to_state_document(ket), handle)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["quantify", path, "--quantifier", "robustness"])
+    rob = json.loads(out.getvalue())["results"]["robustness"]
+    assert code == EXIT_OK
+    assert rob["lower"] - tol <= rob["ppt_sdp"] <= rob["upper"] + tol
+    assert rob["exact"] is (rob["upper"] - rob["lower"] <= tol)
+    assert rob["exact"] or ket.register.nsub == 3

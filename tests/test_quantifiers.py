@@ -420,7 +420,7 @@ def test_robustness_bounds_validation():
     bracket = ["lower", "lower_witness_cut", "upper", "upper_certified", "upper_candidate"]
     assert RobustnessBounds(0.5).report() == {
         "lower": 0.5, "lower_witness_cut": None, "upper": None,
-        "upper_certified": False, "upper_candidate": None, "ppt_sdp": None,
+        "upper_certified": False, "upper_candidate": None, "ppt_sdp": None, "exact": False,
     }
     gen = np.random.default_rng(0)
     while True:  # the first two-qubit ket whose l1 bound rounds below its witness bound
@@ -434,13 +434,26 @@ def test_robustness_bounds_validation():
     certified = RobustnessBounds(lower, upper, cut, basis, ppt_sdp=0.25)
     stopped = RobustnessBounds(lower, upper, ppt_sdp_best=0.26, ppt_sdp_error="stopped")
     refused = RobustnessBounds(lower, upper, ppt_sdp_error="limited to dimension 64, got 128")
+    closed = RobustnessBounds(lower, upper, cut, basis, ppt_sdp=lower, exact=True)
     for bounds, items in (
-        (certified, ["ppt_sdp"]),
-        (stopped, ["ppt_sdp", "ppt_sdp_best", "ppt_sdp_error"]),
-        (refused, ["ppt_sdp", "ppt_sdp_error"]),
+        (certified, ["ppt_sdp", "exact"]),
+        (stopped, ["ppt_sdp", "exact", "ppt_sdp_best", "ppt_sdp_error"]),
+        (refused, ["ppt_sdp", "exact", "ppt_sdp_error"]),
+        (closed, ["ppt_sdp", "exact"]),
     ):
         assert list(bounds.report()) == bracket + items
         assert [bounds.report()[key] for key in items] == [getattr(bounds, key) for key in items]
+
+
+def test_a_bracket_fixes_the_ppt_sdp_only_closed_and_over_its_witness_cut():
+    # Closed within tol, and lower is 0 or its cut is one of the SDP's cuts.
+    bounds = RobustnessBounds(1.0, 1.0 + 5e-7, [1])
+    assert bounds.fixes_ppt([[0], [1]], 1e-6)
+    assert not bounds.fixes_ppt([[0], [1]], 1e-7)  # open at the tighter tolerance
+    assert not bounds.fixes_ppt([[0], [0, 2]], 1e-6)  # the witness cut is not listed
+    assert RobustnessBounds(0.0, 5e-7).fixes_ppt([[2]], 1e-6)  # 0 needs no witness
+    assert RobustnessBounds(1.0, 1.0, [0]).fixes_ppt([[0]], 1e-300)
+    assert not RobustnessBounds(1.0, None, [0]).fixes_ppt([[0]], 1e-6)  # no upper yet
 
 
 def test_pure_bounds_bracket_the_ppt_sdp():

@@ -81,8 +81,8 @@ def test_readme_quotes_the_constants_it_names():
 
 def test_readme_names_every_robustness_report_key():
     # Every key that RobustnessBounds.report() writes, after a certified SDP, a
-    # solver stop and the dimension refusal, is named in README's paragraph on
-    # the quantify robustness block. Whitespace is collapsed there.
+    # solver stop, the dimension refusal and a closed bracket, is named in README's
+    # paragraph on the quantify robustness block. Whitespace is collapsed there.
     (paragraph,) = [
         " ".join(block.split())
         for block in README.read_text(encoding="utf-8").split("\n\n")
@@ -92,6 +92,7 @@ def test_readme_names_every_robustness_report_key():
         quantifiers.RobustnessBounds(1.0, 1.0, [0], "l1-local", ppt_sdp=1.0),
         quantifiers.RobustnessBounds(1.0, 1.0, ppt_sdp_best=0.99, ppt_sdp_error="stopped"),
         quantifiers.RobustnessBounds(1.0, 1.0, ppt_sdp_error="refused"),
+        quantifiers.RobustnessBounds(1.0, 1.0, [0], "l1-local", ppt_sdp=1.0, exact=True),
     ]
     keys = {key for bounds in outcomes for key in bounds.report()}
     assert sorted(key for key in keys if f"`{key}`" not in paragraph) == []
