@@ -29,6 +29,7 @@ from .quantifiers import (
     mix,
     negativity,
     ppt_check,
+    rg_bounds_pure,
     rg_lower_via_witness,
     rg_lower_pure,
     rg_ppt_sdp,

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import __version__, linops, quantifiers, sdpcore, supbound
+from . import __version__, linops, quantifiers, supbound
 from .linops import Partition
 from .qstate import Ket, Register, basis_index
 from .quantifiers import QuantifierConfig
@@ -121,10 +121,8 @@ def _amplitude(pair, where: str, pos: int) -> complex:
     """An [re, im] list or tuple of two real, non-bool numbers as a finite complex number."""
     try:
         re, im = pair if isinstance(pair, (list, tuple)) else ()
-        # An entry of two floats, as JSON writes them, skips the slower full check.
-        if not (type(re) is float is type(im)) and not all(
-            isinstance(x, (int, float)) and type(x) is not bool for x in (re, im)
-        ):
+        real = isinstance(re, (int, float)) and isinstance(im, (int, float))
+        if not real or bool in (type(re), type(im)):
             raise TypeError("not a pair of real numbers")
         value = complex(float(re), float(im))
         if not cmath.isfinite(value):
@@ -148,8 +146,7 @@ def parse_partitions(specs: list[str] | None, register: Register) -> list[Partit
         if first.setdefault(p, pos) != pos:
             raise StateFileError(f"--partition[{pos}] {spec!r} repeats --partition[{first[p]}]")
     parts = list(first) or linops.single_cut_partitions(register)
-    for p in parts:
-        p.validate(register)
+    linops._check_cuts(register, parts)
     return parts
 
 
@@ -176,20 +173,9 @@ def cmd_quantify(args) -> tuple[dict, int]:
         results["ppt"] = [{"partition": c, "ppt": flag} for c, (_, flag) in zip(cuts, profile)]
 
     if args.quantifier in ("robustness", "all"):
-        lower, cut = quantifiers.rg_lower_pure(ket)
-        upper, basis = quantifiers.rg_upper_pure(ket)
-        bounds = quantifiers.RobustnessBounds(lower, upper, cut, basis)
-        try:
-            # lower's witness and the l1 operator are SDP-feasible: a closed bracket needs no solve.
-            exact = bounds.fixes_ppt(cuts, tol or sdpcore.default_tolerance(ket.register.size))
-            value = bounds.upper if exact else quantifiers.rg_ppt_sdp(ket, parts, tol=tol)
-            bounds = dataclasses.replace(bounds, ppt_sdp=value, exact=exact)
-        except sdpcore.SolverFailureError as err:
-            bounds = dataclasses.replace(bounds, ppt_sdp_best=err.best_value, ppt_sdp_error=str(err))
-            exit_code = EXIT_SOLVER
-        except sdpcore.DimensionLimitError as err:
-            bounds = dataclasses.replace(bounds, ppt_sdp_error=str(err))
+        bounds = quantifiers.rg_bounds_pure(ket, parts, tol=tol)
         results["robustness"] = bounds.report()
+        exit_code = EXIT_SOLVER if bounds.ppt_sdp_best is not None else exit_code
 
     config = {
         "state": args.state,
@@ -347,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
             report, code = cmd_sweep(args)
     except np.linalg.LinAlgError:  # a ValueError, but an internal fault, not an input error
         raise
-    except (StateFileError, ValueError) as err:
+    except ValueError as err:  # StateFileError among them
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return EXIT_INPUT
 

@@ -81,6 +81,14 @@ def single_cut_partitions(register: Register) -> list[Partition]:
     return [Partition(frozenset({i})) for i in range(register.nsub)]
 
 
+def _check_cuts(register: Register, partitions) -> None:
+    """Refuse an empty cut list, or a cut that is not a nonempty proper subset of ``register``."""
+    if not partitions:
+        raise ValueError("need at least one partition")
+    for p in partitions:
+        p.validate(register)
+
+
 def partial_transpose(op: HermOp, partition: Partition) -> HermOp:
     """Transpose the subsystems in ``partition``, leaving the rest alone."""
     partition.validate(op.register)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ class RobustnessBounds:
     ppt_sdp: float | None = None
     ppt_sdp_best: float | None = None
     ppt_sdp_error: str | None = None
-    exact: bool = False  # ppt_sdp is upper, from a bracket that fixes_ppt: no solve ran
+    exact: bool = False  # ppt_sdp is upper, read off a closed bracket: no solve ran
 
     def __post_init__(self):
         if self.lower < 0:
@@ -51,11 +51,6 @@ class RobustnessBounds:
     @property
     def certified_upper(self) -> bool:
         return self.upper is not None
-
-    def fixes_ppt(self, cuts: list[list[int]], tol: float) -> bool:
-        """Whether the bracket pins the PPT SDP over ``cuts`` to ``upper`` within ``tol``."""
-        closed = self.upper is not None and self.upper - self.lower <= tol
-        return closed and (self.lower == 0 or self.lower_witness_cut in cuts)
 
     def report(self) -> dict:
         """The ``quantify`` robustness block; the SDP's failure items only when set."""
@@ -249,8 +244,7 @@ def rg_ppt_sdp(
     """
     problem = sdpcore.build_robustness_sdp(state, partitions)
     linops.check_density(state)
-    if tol is None:
-        tol = sdpcore.default_tolerance(problem.variable_dim)
+    tol = sdpcore.default_tolerance(problem.variable_dim) if tol is None else tol
     solution = sdpcore.solve(problem, tol=tol)
     if solution.status != "optimal":
         raise sdpcore.SolverFailureError(
@@ -258,3 +252,23 @@ def rg_ppt_sdp(
             best_value=solution.primal_value,
         )
     return solution.primal_value
+
+
+def rg_bounds_pure(
+    psi: Ket, partitions: Sequence[Partition], tol: float | None = None
+) -> RobustnessBounds:
+    """``quantify``'s robustness block of ``psi``: the bracket, then the PPT SDP if it is open."""
+    linops._check_cuts(psi.register, partitions)
+    (lower, cut), (upper, basis) = rg_lower_pure(psi), rg_upper_pure(psi)
+    bounds = RobustnessBounds(lower, upper, cut, basis)
+    tol = sdpcore.default_tolerance(psi.register.size) if tol is None else tol
+    # lower's witness and upper's operator are SDP-feasible; a cut's complement shares its cone.
+    sides = {frozenset(cut or ()), frozenset(range(psi.register.nsub)).difference(cut or ())}
+    if bounds.upper - lower <= tol and (lower == 0 or sides & {p.transposed for p in partitions}):
+        return replace(bounds, ppt_sdp=bounds.upper, exact=True)
+    try:
+        return replace(bounds, ppt_sdp=rg_ppt_sdp(psi, partitions, tol=tol))
+    except sdpcore.SolverFailureError as err:
+        return replace(bounds, ppt_sdp_best=err.best_value, ppt_sdp_error=str(err))
+    except sdpcore.DimensionLimitError as err:
+        return replace(bounds, ppt_sdp_error=str(err))

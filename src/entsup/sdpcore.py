@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linops import HermOp, Partition, _transpose_subsystems
+from .linops import HermOp, Partition, _check_cuts, _transpose_subsystems
 from .qstate import Ket, density
 
 FEASIBILITY_TOL = 1e-7
@@ -124,13 +124,10 @@ def build_robustness_sdp(state: HermOp | Ket, partitions: Sequence[Partition]) -
     A ket stands for rho = |psi><psi|, which is built only below the
     dimension limit.
     """
-    if not partitions:
-        raise ValueError("need at least one partition")
+    _check_cuts(state.register, partitions)
     d = state.register.size
     if d > MAX_DIMENSION:
         raise DimensionLimitError(f"robustness SDP limited to dimension {MAX_DIMENSION}, got {d}")
-    for p in partitions:
-        p.validate(state.register)
     dims = state.register.dims
     transposed = ((),) + tuple(tuple(sorted(p.transposed)) for p in partitions)
     k = len(transposed)

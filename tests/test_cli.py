@@ -1,9 +1,11 @@
 """Command-line contract: parsing, outputs, exit codes, determinism."""
 
+import ast
 import cmath
 import contextlib
 import errno
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -352,6 +354,19 @@ def test_importing_the_cli_builds_no_parser_and_loads_no_numpy_random():
     assert done.stdout.split(" ", 2) == [
         "False", "0", "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n"
     ]
+
+
+def test_the_cli_leaves_the_sdp_to_the_quantifiers():
+    # quantifiers.rg_bounds_pure owns the robustness block, the SDP's errors included.
+    tree = ast.parse(inspect.getsource(entsup.cli))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+    assert imported and not any("sdpcore" in name for name in imported)
+    assert not hasattr(entsup.cli, "sdpcore")
 
 
 def test_importing_entsup_loads_no_scipy():
@@ -1147,6 +1162,35 @@ def test_a_closed_bracket_off_the_sdp_cuts_still_solves(tmp_path, capsys, monkey
     assert rob["upper"] - rob["lower"] <= 1e-12
     assert rob["ppt_sdp"] == pytest.approx(1.0, abs=1e-6)
     code, report = run_cli(capsys, "quantify", path, "--quantifier", "robustness", "--partition", "0")
+    assert code == EXIT_OK and len(calls) == 1
+    assert report["results"]["robustness"]["exact"] is True
+
+
+def test_a_listed_complement_of_the_witness_cut_closes_the_bracket(tmp_path, capsys, monkeypatch):
+    # (rho + X)^{T_B} = ((rho + X)^{T_A})^T, so [1, 2] gives GHZ3's witness cut [0] its cone.
+    monkeypatch.setattr(quantifiers, "rg_ppt_sdp", _no_solve)
+    path = write_state(tmp_path, "ghz3.json", ghz(3, 0.7))
+    code, report = run_cli(capsys, "quantify", path, "--quantifier", "robustness", "--partition", "1,2")
+    rob = report["results"]["robustness"]
+    assert code == EXIT_OK and report["config"]["partitions"] == [[1, 2]]
+    assert rob["lower_witness_cut"] == [0] and rob["exact"] is True
+    assert rob["ppt_sdp"] == rob["upper"] and rob["upper"] - rob["lower"] <= 1e-12
+    # On four qubits neither [0] nor [1, 2, 3] is among [1] and [2, 3]: the solver runs.
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(sorted(map(sorted, (p.transposed for p in args[1]))))
+        return rg_ppt_sdp(*args, **kwargs)
+
+    monkeypatch.setattr(quantifiers, "rg_ppt_sdp", solve)
+    path = write_state(tmp_path, "ghz4.json", ghz(4, 0.7))
+    argv = ("quantify", path, "--quantifier", "robustness", "--partition", "1", "--partition", "2,3")
+    code, report = run_cli(capsys, *argv)
+    rob = report["results"]["robustness"]
+    assert code == EXIT_OK and calls == [[[1], [2, 3]]]
+    assert rob["lower_witness_cut"] == [0] and rob["exact"] is False
+    assert rob["ppt_sdp"] == pytest.approx(1.0, abs=1e-6)
+    code, report = run_cli(capsys, *argv[:-1], "1,2,3")
     assert code == EXIT_OK and len(calls) == 1
     assert report["results"]["robustness"]["exact"] is True
 

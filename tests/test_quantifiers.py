@@ -1,5 +1,6 @@
 """Negativity, Peres tests, mixing, and robustness bounds."""
 
+import cmath
 import functools
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from entsup import linops
+from entsup import linops, quantifiers, sdpcore
 from entsup.linops import (
     PSD_TOL,
     HermOp,
@@ -33,6 +34,7 @@ from entsup.quantifiers import (
     negativity,
     ppt_check,
     pt_profile,
+    rg_bounds_pure,
     rg_lower_pure,
     rg_lower_via_witness,
     rg_ppt_sdp,
@@ -445,15 +447,95 @@ def test_robustness_bounds_validation():
         assert [bounds.report()[key] for key in items] == [getattr(bounds, key) for key in items]
 
 
-def test_a_bracket_fixes_the_ppt_sdp_only_closed_and_over_its_witness_cut():
-    # Closed within tol, and lower is 0 or its cut is one of the SDP's cuts.
-    bounds = RobustnessBounds(1.0, 1.0 + 5e-7, [1])
-    assert bounds.fixes_ppt([[0], [1]], 1e-6)
-    assert not bounds.fixes_ppt([[0], [1]], 1e-7)  # open at the tighter tolerance
-    assert not bounds.fixes_ppt([[0], [0, 2]], 1e-6)  # the witness cut is not listed
-    assert RobustnessBounds(0.0, 5e-7).fixes_ppt([[2]], 1e-6)  # 0 needs no witness
-    assert RobustnessBounds(1.0, 1.0, [0]).fixes_ppt([[0]], 1e-300)
-    assert not RobustnessBounds(1.0, None, [0]).fixes_ppt([[0]], 1e-6)  # no upper yet
+def _ket(n, support, values):
+    amps = np.zeros(2**n)
+    amps[support] = values
+    return Ket(qubit_register(n), amps / np.linalg.norm(amps))
+
+
+def test_a_bracket_fixes_the_ppt_sdp_only_closed_and_over_either_side_of_its_witness_cut(
+    monkeypatch,
+):
+    # Closed within tol, and lower is 0 or its cut or that cut's complement is listed.
+    solves = []
+
+    def solve(state, partitions, tol=None):
+        solves.append((sorted(map(sorted, (p.transposed for p in partitions))), tol))
+        return 1.25
+
+    monkeypatch.setattr(quantifiers, "rg_ppt_sdp", solve)
+    singles = single_cut_partitions(qubit_register(3))
+    near = _ket(3, [0, 7, 3], [1.0, 1.0, 1e-3])  # GHZ3 + 1e-3|011>: witness cut [1]
+    closed = rg_bounds_pure(near, singles, tol=1e-2)
+    assert closed.lower_witness_cut == [1] and 1e-3 < closed.upper - closed.lower < 1e-2
+    assert closed.exact and closed.ppt_sdp == closed.upper and solves == []
+    opened = rg_bounds_pure(near, singles, tol=1e-3)  # open at the tighter tolerance
+    assert not opened.exact and opened.ppt_sdp == 1.25
+    assert solves == [([[0], [1], [2]], 1e-3)]
+    # [0, 2] is the complement of [1] on three qubits: the same cone, so closed.
+    assert rg_bounds_pure(near, [part(0), part(0, 2)], tol=1e-2).exact
+    # On four qubits the complement of [1] is [0, 2, 3]: neither side is listed, so it solves.
+    near4 = _ket(4, [0, 15, 7], [1.0, 1.0, 1e-3])
+    four = rg_bounds_pure(near4, [part(0), part(0, 2)], tol=1e-2)
+    assert four.lower_witness_cut == [1] and four.upper - four.lower < 1e-2
+    assert not four.exact and four.ppt_sdp == 1.25 and solves[-1] == ([[0], [0, 2]], 1e-2)
+    assert rg_bounds_pure(near4, [part(0, 2, 3)], tol=1e-2).exact
+    # lower 0 needs no witness; equality closes at any tolerance.
+    product = rg_bounds_pure(basis_ket(qubit_register(3), (1, 0, 1)), [part(2)], tol=1e-300)
+    assert (product.lower, product.lower_witness_cut, product.ppt_sdp, product.exact) == (
+        0.0, None, 0.0, True
+    )
+    tight = rg_bounds_pure(ghz(3, 0.7), [part(0)], tol=1e-300)
+    assert tight.upper == tight.lower and tight.exact and tight.ppt_sdp == tight.upper
+    assert len(solves) == 2
+
+    def stop(*args, **kwargs):
+        raise sdpcore.SolverFailureError("robustness SDP stopped with status 'max_iter'", 0.97)
+
+    monkeypatch.setattr(quantifiers, "rg_ppt_sdp", stop)
+    w3 = _ket(3, [1, 2, 4], [1.0, 1.0, 1.0])  # open: lower 2 sqrt(2)/3, upper 2
+    stopped = rg_bounds_pure(w3, singles)
+    assert (stopped.ppt_sdp, stopped.ppt_sdp_best, stopped.exact) == (None, 0.97, False)
+    assert stopped.ppt_sdp_error == "robustness SDP stopped with status 'max_iter'"
+    assert stopped.lower == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-12)
+    monkeypatch.undo()
+    w7 = _ket(7, [1 << q for q in range(7)], [1.0] * 7)  # open, above MAX_DIMENSION
+    refused = rg_bounds_pure(w7, single_cut_partitions(w7.register))
+    assert (refused.ppt_sdp, refused.ppt_sdp_best, refused.exact) == (None, None, False)
+    assert refused.ppt_sdp_error == "robustness SDP limited to dimension 64, got 128"
+    assert refused.upper - refused.lower > 1e-4
+
+
+def test_rg_bounds_pure_refuses_the_cut_lists_a_solve_refuses():
+    # A product ket's bracket is closed, so only the cut-list rule can refuse these.
+    ket = basis_ket(qubit_register(3), (0, 1, 0))
+    assert rg_bounds_pure(ket, [part(0)]).exact
+    for cuts in ([], [part(3)], [part(0, 1, 2)], [part(1), part()]):
+        with pytest.raises(ValueError) as solve:
+            sdpcore.build_robustness_sdp(ket, cuts)
+        with pytest.raises(ValueError) as bounds:
+            rg_bounds_pure(ket, cuts)
+        assert type(bounds.value) is type(solve.value) and str(bounds.value) == str(solve.value)
+    assert str(bounds.value) == "entanglement tests need a nonempty proper subset of subsystems"
+    with pytest.raises(ValueError, match="^need at least one partition$"):
+        rg_bounds_pure(ket, [])
+
+
+@given(
+    n=st.integers(3, 10),
+    theta=st.floats(0.0, math.pi / 2),
+    phi=st.floats(0.0, 2 * math.pi),
+)
+@settings(max_examples=24, deadline=None)
+def test_the_tightness_class_reads_exact_and_ordered(n, theta, phi):
+    # cos t|0...0> + e^{i phi} sin t|1...1>: lower = upper = sin 2t in exact arithmetic,
+    # and rounding can leave upper a few ulps below lower before the bracket lifts it.
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0], amps[-1] = math.cos(theta), cmath.exp(1j * phi) * math.sin(theta)
+    ket = Ket(qubit_register(n), amps)
+    bounds = rg_bounds_pure(ket, single_cut_partitions(ket.register))
+    assert bounds.exact and bounds.ppt_sdp == bounds.upper >= bounds.lower
+    assert bounds.lower == pytest.approx(math.sin(2 * theta), abs=1e-12)
 
 
 def test_pure_bounds_bracket_the_ppt_sdp():
